@@ -45,13 +45,16 @@ echo "==> obs-bench smoke workload (emits BENCH_obs.json)"
 # serving path and full span recording — including the trace-tree pipeline,
 # exercised via head sampling — < 5% (best paired round wins). The exported
 # ObsSnapshot JSON must parse and enumerate every stage and counter with
-# exact request counts. A tail-sampling scenario then injects one slow and
-# one slow+panicking request and asserts: both trace trees retained with
-# correct parent links, the slow tree's stage spans summing to its root,
-# the latency histogram's top bucket carrying the slow trace id as its
-# exemplar, the SLO burn rate flipping 0 -> positive, a single joined
-# "slow+panic" dump, and the Prometheus text export re-parsing numerically
-# equal to the snapshot.
+# exact request counts (queue wait and service latency). A tail-sampling
+# scenario then injects one slow and one slow+panicking request and
+# asserts: both trace trees retained with correct parent links, the slow
+# tree's stage spans summing to its root, the latency histogram's top
+# bucket carrying the slow trace id as its exemplar, the SLO burn rate
+# flipping 0 -> positive, exactly one retained tree for the panicking
+# request with reasons [slow, panic] and a ring holding its discovery and
+# request events, every retained tree's JSON carrying a "ring" array that
+# parses, and the Prometheus text export re-parsing numerically equal to
+# the snapshot.
 cargo run --release -p bench --bin obs-bench -- \
     --out BENCH_obs.json --check
 

@@ -22,7 +22,7 @@
 //! Independently of timing, one unmeasured enabled pass produces an
 //! [`ObsSnapshot`](preview_obs::ObsSnapshot) whose JSON must parse with the crate's own parser and
 //! enumerate every stage and counter, with exact request counts in the
-//! request/queue-wait histograms.
+//! queue-wait and service-latency histograms.
 //!
 //! A final *trace check* scenario drives tail-based sampling end to end:
 //! the Zipf workload runs under a slow-request threshold with windowed
@@ -32,8 +32,10 @@
 //! links, the slow tree's stage spans sum to its root span, the latency
 //! histogram's top bucket carries the slow trace id as its exemplar, the
 //! SLO burn rate flips from zero to positive, the slow+panic request is
-//! dumped exactly once with both reasons joined, and the Prometheus
-//! rendering re-parses numerically equal to the snapshot.
+//! retained exactly once with both reasons and a ring holding its span
+//! trail, every retained tree's JSON carries a `ring` array that parses,
+//! and the Prometheus rendering re-parses numerically equal to the
+//! snapshot.
 //!
 //! ```text
 //! cargo run -p bench --release --bin obs-bench
@@ -50,8 +52,8 @@ use bench::util::parse_checked as parse;
 use datagen::FreebaseDomain;
 use entity_graph::EntityGraph;
 use preview_obs::{
-    render_top, roundtrip_failures, Counter, DumpReason, JsonValue, ObsConfig, Recorder,
-    RetainReason, SloSpec, Stage, TimeSeriesConfig, TraceTree,
+    render_top, roundtrip_failures, Counter, JsonValue, ObsConfig, Recorder, RetainReason, SloSpec,
+    Stage, TimeSeriesConfig, TraceTree,
 };
 use preview_service::{GraphRegistry, PreviewService, ServiceConfig};
 
@@ -241,17 +243,14 @@ fn snapshot_failures(json: &str, requests: u64) -> Vec<String> {
                     }
                 }
             }
-            for (stage, expected) in [(Stage::Request, requests), (Stage::QueueWait, requests)] {
-                let count = stages
-                    .get(stage.name())
-                    .and_then(|e| e.get("count"))
-                    .and_then(|c| c.as_u64());
-                if count != Some(expected) {
-                    failures.push(format!(
-                        "stage {:?} count {count:?} != {expected}",
-                        stage.name()
-                    ));
-                }
+            let count = stages
+                .get(Stage::QueueWait.name())
+                .and_then(|e| e.get("count"))
+                .and_then(|c| c.as_u64());
+            if count != Some(requests) {
+                failures.push(format!(
+                    "stage \"queue_wait\" count {count:?} != {requests}"
+                ));
             }
         }
         None => failures.push("stages object missing".to_string()),
@@ -277,14 +276,6 @@ fn snapshot_failures(json: &str, requests: u64) -> Vec<String> {
     }
     if parsed.get("enabled") != Some(&JsonValue::Bool(true)) {
         failures.push("snapshot does not report enabled=true".to_string());
-    }
-    if parsed
-        .get("dumps")
-        .and_then(|d| d.as_array())
-        .map(|d| d.len())
-        != Some(1)
-    {
-        failures.push("on-demand dump missing from snapshot".to_string());
     }
     failures
 }
@@ -351,7 +342,8 @@ struct TraceCheck {
 /// slow-request threshold + windowed metrics + one SLO, then an injected
 /// 400ms request on a cold graph and an injected slow-and-panicking
 /// request on another, asserting retention, parent links, span sums,
-/// exemplar linkage, dump dedup, SLO burn flip, and export round-trip.
+/// exemplar linkage, the panic tree's ring, SLO burn flip, and export
+/// round-trip.
 fn trace_check(graph: &EntityGraph, workload: &ServiceWorkload, options: &Options) -> TraceCheck {
     const SLOW_THRESHOLD_US: u64 = 250_000;
     const SLO_THRESHOLD_US: u64 = 50_000;
@@ -453,29 +445,46 @@ fn trace_check(graph: &EntityGraph, workload: &ServiceWorkload, options: &Option
             failures.extend(tree_failures(tree, "slow tree", true));
         }
     }
-    match snapshot
+    // The slow-and-panicked request is retained once, with both reasons,
+    // and its ring holds the span trail up to its root.
+    let panic_trees: Vec<&TraceTree> = snapshot
         .traces
         .iter()
-        .find(|t| t.reasons.contains(&RetainReason::Panic))
-    {
-        None => failures.push("panicking request's tree not retained".to_string()),
-        Some(tree) => {
+        .filter(|t| t.reasons.contains(&RetainReason::Panic))
+        .collect();
+    match panic_trees.as_slice() {
+        [tree] => {
             if tree.reasons != vec![RetainReason::Slow, RetainReason::Panic] {
                 failures.push(format!("panic tree reasons {:?}", tree.reasons));
             }
             if !tree.detail.contains("graph=panicg") {
                 failures.push(format!("panic tree detail {:?}", tree.detail));
             }
+            for stage in [Stage::Discovery, Stage::Request] {
+                if !tree.ring.iter().any(|e| e.stage == stage) {
+                    failures.push(format!("panic tree ring lacks a {:?} event", stage.name()));
+                }
+            }
             failures.extend(tree_failures(tree, "panic tree", false));
         }
+        trees => failures.push(format!(
+            "{} panicking-request trees retained, expected exactly 1",
+            trees.len()
+        )),
     }
 
-    // Dump dedup: the slow-and-panicked request is dumped once, with both
-    // reasons joined — not once per reason.
-    let dumps = recorder.dumps();
-    let joined = dumps.iter().filter(|d| d.reason == "slow+panic").count();
-    if joined != 1 {
-        failures.push(format!("{joined} slow+panic dumps, expected exactly 1"));
+    // Every retained tree's JSON carries a `ring` array that parses.
+    for tree in &snapshot.traces {
+        let ring = JsonValue::parse(&tree.to_json())
+            .ok()
+            .and_then(|json| json.get("ring").and_then(|r| r.as_array()).map(|r| r.len()));
+        if ring != Some(tree.ring.len()) {
+            failures.push(format!(
+                "tree {} JSON ring {ring:?} != {} events",
+                tree.trace,
+                tree.ring.len()
+            ));
+        }
     }
 
     // Exemplar linkage: the top non-empty service-latency bucket (the
@@ -557,22 +566,21 @@ fn main() -> ExitCode {
     }
 
     // One unmeasured enabled pass drives the snapshot/schema gate: the
-    // recorder is configured with a slow threshold so the slow-dump path is
-    // reachable, and an on-demand dump pins the dumps array.
+    // recorder is configured with a slow threshold so the slow-retention
+    // check runs on every request.
     let snapshot_recorder = Arc::new(Recorder::new(ObsConfig {
         slow_threshold_us: Some(10_000_000),
         ..ObsConfig::default()
     }));
     snapshot_recorder.enable();
     let (_, service) = run_pass(&graph, &workload, &options, Arc::clone(&snapshot_recorder));
-    snapshot_recorder.capture_dump(DumpReason::OnDemand, "obs-bench snapshot pass");
     let snapshot_json = service.snapshot().to_json();
     snapshot_recorder.disable();
     drop(service);
     let schema_failures = snapshot_failures(&snapshot_json, workload.requests.len() as u64);
 
     // Tail-sampling end-to-end scenario (trace retention, exemplars, SLO
-    // burn flip, dump dedup, Prometheus round-trip).
+    // burn flip, the panic tree's ring, Prometheus round-trip).
     eprintln!("[obs-bench] running trace-retention scenario ...");
     let trace = trace_check(&graph, &workload, &options);
     for failure in &trace.failures {

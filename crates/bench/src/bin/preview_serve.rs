@@ -6,7 +6,7 @@
 //! throughput, latency percentiles and cache behaviour. The service pass
 //! runs with an enabled [`Recorder`], and its full [`ObsSnapshot`] rides
 //! along in the summary under `"obs"` (per-stage histograms, counters,
-//! flight dumps).
+//! retained trace trees).
 //!
 //! ```text
 //! cargo run -p bench --release --bin preview-serve

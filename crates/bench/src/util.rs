@@ -125,24 +125,6 @@ pub fn format_millis(duration: Duration) -> String {
     }
 }
 
-/// Levenshtein edit distance between two ASCII-ish names (insertions,
-/// deletions and substitutions all cost 1). Used for CLI "did you mean"
-/// suggestions.
-pub fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut previous: Vec<usize> = (0..=b.len()).collect();
-    for (i, &ca) in a.iter().enumerate() {
-        let mut current = vec![i + 1];
-        for (j, &cb) in b.iter().enumerate() {
-            let substitution = previous[j] + usize::from(ca != cb);
-            current.push(substitution.min(previous[j + 1] + 1).min(current[j] + 1));
-        }
-        previous = current;
-    }
-    previous[b.len()]
-}
-
 /// The candidates closest to `name` by edit distance, nearest first, keeping
 /// only those within `max_distance` (ties keep candidate order).
 pub fn closest_matches<'a>(
@@ -152,7 +134,7 @@ pub fn closest_matches<'a>(
 ) -> Vec<&'a str> {
     let mut scored: Vec<(usize, &str)> = candidates
         .into_iter()
-        .map(|c| (levenshtein(name, c), c))
+        .map(|c| (datagen::spec::levenshtein(name, c), c))
         .filter(|&(d, _)| d <= max_distance)
         .collect();
     scored.sort_by_key(|&(d, _)| d);
@@ -230,6 +212,7 @@ mod tests {
 
     #[test]
     fn levenshtein_counts_edits() {
+        use datagen::spec::levenshtein;
         assert_eq!(levenshtein("table3", "table3"), 0);
         assert_eq!(levenshtein("tabel3", "table3"), 2);
         assert_eq!(levenshtein("fig5", "fig15"), 1);

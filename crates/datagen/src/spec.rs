@@ -217,12 +217,9 @@ impl DomainSpec {
     }
 }
 
-/// Levenshtein edit distance over `char`s, for did-you-mean suggestions.
-///
-/// Duplicated from the bench crate's experiments-CLI helper rather than
-/// imported: bench depends on datagen, so the dependency can't point the
-/// other way.
-fn levenshtein(a: &str, b: &str) -> usize {
+/// Levenshtein edit distance over `char`s (insertions, deletions and
+/// substitutions all cost 1), for did-you-mean suggestions.
+pub fn levenshtein(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     let mut prev: Vec<usize> = (0..=b.len()).collect();
@@ -392,9 +389,17 @@ mod tests {
 
     #[test]
     fn levenshtein_basics() {
-        assert_eq!(levenshtein("", ""), 0);
-        assert_eq!(levenshtein("abc", "abc"), 0);
-        assert_eq!(levenshtein("abc", ""), 3);
-        assert_eq!(levenshtein("kitten", "sitting"), 3);
+        for (a, b, distance) in [
+            ("", "", 0),
+            ("abc", "abc", 0),
+            ("abc", "", 3),
+            ("", "abc", 3),
+            ("kitten", "sitting", 3),
+            ("table3", "table3", 0),
+            ("tabel3", "table3", 2),
+            ("fig5", "fig15", 1),
+        ] {
+            assert_eq!(levenshtein(a, b), distance, "{a:?} vs {b:?}");
+        }
     }
 }

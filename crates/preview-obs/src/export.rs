@@ -414,8 +414,8 @@ pub fn roundtrip_failures(snapshot: &ObsSnapshot) -> Vec<String> {
     failures
 }
 
-/// Renders a one-shot `obs-top` textual dashboard: per-stage latency
-/// table, non-zero counters, window rates, SLO burn lines, and the
+/// Renders a one-shot `obs-top` textual dashboard: request and per-stage
+/// latency table, non-zero counters, window rates, SLO burn lines, and the
 /// retained trace trees. This is the `--top` output of `obs-bench`.
 pub fn render_top(snapshot: &ObsSnapshot) -> String {
     let mut out = String::with_capacity(2048);
@@ -427,13 +427,25 @@ pub fn render_top(snapshot: &ObsSnapshot) -> String {
         "{:<18} {:>9} {:>10} {:>10} {:>10}\n",
         "STAGE", "COUNT", "P50_US", "P99_US", "MAX_US"
     ));
-    for (stage, hist) in &snapshot.stages {
+    // The service's request-latency histogram leads the table as `request`
+    // (trace roots feed no stage histogram).
+    let rows = snapshot
+        .service_latency
+        .iter()
+        .map(|hist| ("request", hist))
+        .chain(
+            snapshot
+                .stages
+                .iter()
+                .map(|(stage, hist)| (stage.name(), hist)),
+        );
+    for (name, hist) in rows {
         if hist.count() == 0 {
             continue;
         }
         out.push_str(&format!(
             "{:<18} {:>9} {:>10} {:>10} {:>10}\n",
-            stage.name(),
+            name,
             hist.count(),
             hist.quantile(0.5),
             hist.quantile(0.99),
@@ -508,7 +520,7 @@ mod tests {
     fn snapshot_with_data() -> ObsSnapshot {
         let recorder = Recorder::new(ObsConfig::default());
         recorder.record_span(Stage::Discovery, 1, 10, 250, 3);
-        recorder.record_span(Stage::Request, 0, 0, 1_000, 0);
+        recorder.record_span(Stage::QueueWait, 1, 0, 1_000, 0);
         recorder.add_counter(Counter::Publishes, 2);
         let mut snapshot = recorder.snapshot();
         let latency = crate::Histogram::new();
@@ -566,6 +578,10 @@ mod tests {
         let snapshot = snapshot_with_data();
         let top = render_top(&snapshot);
         assert!(top.contains("STAGE"));
+        // The service latency histogram is the `request` row.
+        assert!(top.lines().any(
+            |line| line.starts_with("request ") && line.split_whitespace().nth(1) == Some("2")
+        ));
         assert!(top.contains("discovery"));
         assert!(top.contains("counters: publishes=2"));
         assert!(top.contains("traces retained: 0"));

@@ -228,38 +228,6 @@ impl FlightRing {
     }
 }
 
-/// A captured flight-recorder dump: why it was taken plus the ring contents
-/// at capture time.
-#[derive(Debug, Clone)]
-pub struct FlightDump {
-    /// What triggered the capture (`"panic"`, `"slow"`, or `"on_demand"`).
-    pub reason: String,
-    /// Free-form context (panic message, or the slow request's latency).
-    pub detail: String,
-    /// Ring contents at capture time, oldest first.
-    pub events: Vec<SpanEvent>,
-}
-
-impl FlightDump {
-    /// Renders the dump as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.events.len() * 96);
-        out.push_str("{\"reason\":");
-        crate::json::write_json_string(&mut out, &self.reason);
-        out.push_str(",\"detail\":");
-        crate::json::write_json_string(&mut out, &self.detail);
-        out.push_str(",\"events\":[");
-        for (index, event) in self.events.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push_str(&event.to_json());
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,18 +322,5 @@ mod tests {
             w.join().unwrap();
         }
         assert_eq!(ring.pushed(), 40_000);
-    }
-
-    #[test]
-    fn dump_renders_json() {
-        let dump = FlightDump {
-            reason: "panic".to_string(),
-            detail: "boom \"quoted\"".to_string(),
-            events: vec![event(Stage::Request, 1)],
-        };
-        let json = dump.to_json();
-        assert!(json.contains("\"reason\":\"panic\""));
-        assert!(json.contains("\\\"quoted\\\""));
-        assert!(json.contains("\"stage\":\"request\""));
     }
 }

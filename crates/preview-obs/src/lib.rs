@@ -14,7 +14,7 @@
 //!   enabling a recorder cannot perturb the deterministic outputs the
 //!   golden suites pin (it only reads clocks and bumps atomics).
 //! * Every collected artifact — [`Histogram`] quantiles, [`Counter`]s,
-//!   [`FlightDump`]s, per-shard memory — exports through one
+//!   retained [`TraceTree`]s, per-shard memory — exports through one
 //!   [`ObsSnapshot::to_json`] schema shared by all bench binaries.
 //!
 //! The crate observes at three layers:
@@ -22,8 +22,9 @@
 //! 1. **Per-request trace trees** — a [`TraceId`] minted at service
 //!    ingress links every span of one request into a parent-linked
 //!    [`TraceTree`]; the bounded [`TraceStore`] retains trees tail-based
-//!    (slow / errored / panicked / 1-in-N sampled, see [`RetainReason`])
-//!    and histogram buckets carry the latest trace as an exemplar.
+//!    (slow / errored / panicked / 1-in-N sampled, see [`RetainReason`]),
+//!    attaching the flight ring to slow and panicked trees, and histogram
+//!    buckets carry the latest trace as an exemplar.
 //! 2. **Aggregate histograms** — exact log-linear per-stage [`Histogram`]s
 //!    and [`Counter`]s, cumulative since process start.
 //! 3. **Windowed SLOs** — a [`TimeSeries`] ring of snapshot deltas feeding
@@ -37,7 +38,7 @@
 //! | [`Recorder`] | per-stage [`Histogram`]s + counters + the flight ring + the [`TraceStore`] |
 //! | [`span!`] / [`SpanGuard`] | RAII stage timing on the attached recorder |
 //! | [`TraceGuard`] / [`TraceContext`] | per-request tree building and the fork-join handoff |
-//! | [`FlightRing`] / [`FlightDump`] | seqlock ring of recent span events; dumped on panic / slow request / demand |
+//! | [`FlightRing`] / [`SpanEvent`] | seqlock ring of recent span events; attached to slow and panicked trace trees, read on demand by [`Recorder::ring_snapshot`] |
 //! | [`TimeSeries`] / [`SloSpec`] | windowed deltas, rates, and burn-rate evaluation |
 //! | [`ObsSnapshot`] | the JSON export consumed by `PreviewService::snapshot()` and every bench |
 //! | [`render_prometheus`] / [`render_top`] | text-exposition and dashboard exporters over the snapshot |
@@ -81,12 +82,12 @@ pub use export::{
     parse_prometheus_text, render_prometheus, render_top, roundtrip_failures, snapshot_is_blank,
     PromSample,
 };
-pub use flight::{FlightDump, FlightRing, SpanEvent};
+pub use flight::{FlightRing, SpanEvent};
 pub use histogram::{bucket_index, bucket_lower, Histogram, HistogramSnapshot, BUCKETS};
 pub use json::{write_json_f64, write_json_string, JsonValue};
 pub use recorder::{
     counter_add, counter_add_many, current_context, enter, enter_in_context, enter_with,
-    AttachGuard, DumpReason, ObsConfig, Recorder, SpanGuard, TraceGuard,
+    AttachGuard, ObsConfig, Recorder, SpanGuard, TraceGuard,
 };
 pub use rss::peak_rss_bytes;
 pub use slo::{SloSpec, SloStatus};
@@ -116,7 +117,6 @@ mod static_assertions {
         assert_send_sync::<TraceStore>();
         assert_send_sync_clone::<HistogramSnapshot>();
         assert_send_sync_clone::<ObsSnapshot>();
-        assert_send_sync_clone::<FlightDump>();
         assert_send_sync_clone::<SpanEvent>();
         assert_send_sync_clone::<Stage>();
         assert_send_sync_clone::<Counter>();

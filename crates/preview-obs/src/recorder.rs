@@ -19,12 +19,11 @@
 //! keeps parallel sections uninstrumented and the outputs deterministic.
 
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::flight::{FlightDump, FlightRing, SpanEvent};
+use crate::flight::{FlightRing, SpanEvent};
 use crate::histogram::Histogram;
 use crate::stage::{Counter, Stage, COUNTER_COUNT, STAGE_COUNT};
 use crate::trace::{
@@ -68,12 +67,11 @@ fn thread_id() -> u32 {
 pub struct ObsConfig {
     /// Flight-ring capacity in events (rounded up to a power of two).
     pub ring_capacity: usize,
-    /// Requests slower than this many microseconds trigger a flight dump
-    /// and qualify their trace tree for retention (`None` disables the
+    /// Requests slower than this many microseconds are retained as
+    /// [slow](RetainReason::Slow) trace trees carrying the flight ring,
+    /// whether or not the recorder is enabled (`None` disables the
     /// whole-request slow threshold).
     pub slow_threshold_us: Option<u64>,
-    /// Most recent dumps retained; older dumps are discarded.
-    pub max_dumps: usize,
     /// Most recent trace trees retained by tail-based sampling.
     pub trace_capacity: usize,
     /// Head-samples every Nth trace for retention regardless of latency
@@ -91,7 +89,6 @@ impl Default for ObsConfig {
         ObsConfig {
             ring_capacity: 1024,
             slow_threshold_us: None,
-            max_dumps: 16,
             trace_capacity: 32,
             sample_every: 0,
             stage_thresholds_us: [None; STAGE_COUNT],
@@ -120,28 +117,6 @@ impl ObsConfig {
     }
 }
 
-/// What triggered a flight-recorder dump.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DumpReason {
-    /// A worker panicked while serving a request.
-    Panic,
-    /// A request exceeded [`ObsConfig::slow_threshold_us`].
-    Slow,
-    /// An explicit snapshot/dump call.
-    OnDemand,
-}
-
-impl DumpReason {
-    /// Stable name used in dump JSON.
-    pub const fn name(self) -> &'static str {
-        match self {
-            DumpReason::Panic => "panic",
-            DumpReason::Slow => "slow",
-            DumpReason::OnDemand => "on_demand",
-        }
-    }
-}
-
 /// Collects spans, counters, and flight events for one serving stack.
 ///
 /// A recorder starts *disabled*: attached threads skip all span work until
@@ -154,7 +129,6 @@ pub struct Recorder {
     stages: [Histogram; STAGE_COUNT],
     counters: [AtomicU64; COUNTER_COUNT],
     ring: FlightRing,
-    dumps: Mutex<VecDeque<FlightDump>>,
     traces: TraceStore,
 }
 
@@ -184,7 +158,6 @@ impl Recorder {
             stages: std::array::from_fn(|_| Histogram::new()),
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             ring: FlightRing::new(config.ring_capacity),
-            dumps: Mutex::new(VecDeque::new()),
             traces: TraceStore::new(config.trace_capacity),
         }
     }
@@ -230,45 +203,31 @@ impl Recorder {
         self.epoch.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
     }
 
-    /// Records a finished span directly (the [`SpanGuard`] drop path).
-    /// Also available to callers that measure a duration themselves, e.g.
-    /// queue wait computed from an enqueue timestamp.
+    /// Records a finished span directly, for callers that measure a
+    /// duration themselves.
     pub fn record_span(&self, stage: Stage, depth: u8, start_us: u64, duration_us: u64, attr: u64) {
-        self.record_span_traced(stage, depth, start_us, duration_us, attr, 0, 0, 0);
-    }
-
-    /// [`record_span`](Recorder::record_span) with trace linkage: a non-zero
-    /// `trace` stamps the stage histogram bucket's exemplar and rides along
-    /// in the flight-ring event together with the span's parent link.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_span_traced(
-        &self,
-        stage: Stage,
-        depth: u8,
-        start_us: u64,
-        duration_us: u64,
-        attr: u64,
-        trace: u64,
-        span_id: u32,
-        parent_span: u32,
-    ) {
-        let histogram = &self.stages[stage as usize];
-        if trace != 0 {
-            histogram.record_with_exemplar(duration_us, trace);
-        } else {
-            histogram.record(duration_us);
-        }
-        self.ring.push(&SpanEvent {
+        let span = TraceSpan {
+            span_id: 0,
+            parent_id: 0,
             stage,
-            depth,
             thread: thread_id(),
             start_us,
             duration_us,
             attr,
-            trace,
-            span_id,
-            parent_span,
-        });
+        };
+        self.record_event(span.event(depth, 0));
+    }
+
+    /// Records one finished span event into its stage histogram — a
+    /// non-zero `trace` stamps the bucket's exemplar — and the flight ring.
+    fn record_event(&self, event: SpanEvent) {
+        let histogram = &self.stages[event.stage as usize];
+        if event.trace != 0 {
+            histogram.record_with_exemplar(event.duration_us, event.trace);
+        } else {
+            histogram.record(event.duration_us);
+        }
+        self.ring.push(&event);
     }
 
     /// Records a duration against `stage` as a depth-0 span ending now.
@@ -306,118 +265,33 @@ impl Recorder {
         self.ring.snapshot()
     }
 
-    /// Captures a flight dump now, retains it (bounded by
-    /// [`ObsConfig::max_dumps`]), and returns a copy. Panic and slow dumps
-    /// bump their respective counters.
-    pub fn capture_dump(&self, reason: DumpReason, detail: &str) -> FlightDump {
-        match reason {
-            DumpReason::Panic => self.add_counter(Counter::PanicDumps, 1),
-            DumpReason::Slow => self.add_counter(Counter::SlowDumps, 1),
-            DumpReason::OnDemand => {}
-        }
-        let dump = FlightDump {
-            reason: reason.name().to_string(),
-            detail: detail.to_string(),
-            events: self.ring.snapshot(),
-        };
-        // Recover from poisoning instead of unwrapping: this path runs
-        // from the worker *panic* hook, where a second panic would abort
-        // the process. The critical section only rotates a bounded deque,
-        // so a poisoned guard still holds structurally valid data.
-        let mut dumps = self.dumps.lock().unwrap_or_else(PoisonError::into_inner);
-        if dumps.len() >= self.config.max_dumps.max(1) {
-            dumps.pop_front();
-        }
-        dumps.push_back(dump.clone());
-        dump
-    }
-
-    /// Captures a slow-request dump if `latency_us` exceeds the configured
-    /// threshold; returns whether a dump was taken.
-    pub fn maybe_dump_slow(&self, latency_us: u64, detail: &str) -> bool {
-        match self.config.slow_threshold_us {
-            Some(threshold) if latency_us > threshold => {
-                self.capture_dump(DumpReason::Slow, detail);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Retained dumps, oldest first.
-    pub fn dumps(&self) -> Vec<FlightDump> {
-        // Same poison recovery as `capture_dump`: dump retention must
-        // stay readable after a worker panic.
-        self.dumps
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .cloned()
-            .collect()
-    }
-
     /// The tail-sampled trace-tree store.
     pub fn traces(&self) -> &TraceStore {
         &self.traces
     }
 
-    /// Captures one flight dump for a request that qualified for dump-worthy
-    /// retention reasons ([slow](RetainReason::Slow) and/or
-    /// [panic](RetainReason::Panic)) — a request qualifying both ways is
-    /// dumped *once*, with the joined reason string (`"slow+panic"`) and
-    /// both counters bumped. Non-dump-worthy reasons are ignored.
-    pub fn capture_dump_for(&self, reasons: &[RetainReason], detail: &str) -> Option<FlightDump> {
-        let mut names: Vec<&str> = Vec::new();
-        for reason in reasons {
-            match reason {
-                RetainReason::Slow => {
-                    self.add_counter(Counter::SlowDumps, 1);
-                    names.push(RetainReason::Slow.name());
-                }
-                RetainReason::Panic => {
-                    self.add_counter(Counter::PanicDumps, 1);
-                    names.push(RetainReason::Panic.name());
-                }
-                RetainReason::Error | RetainReason::Sampled => {}
-            }
-        }
-        if names.is_empty() {
-            return None;
-        }
-        let dump = FlightDump {
-            reason: names.join("+"),
-            detail: detail.to_string(),
-            events: self.ring.snapshot(),
-        };
-        // Same bounded rotation and poison recovery as `capture_dump`.
-        let mut dumps = self.dumps.lock().unwrap_or_else(PoisonError::into_inner);
-        if dumps.len() >= self.config.max_dumps.max(1) {
-            dumps.pop_front();
-        }
-        dumps.push_back(dump.clone());
-        Some(dump)
-    }
-
-    /// Starts building a trace tree for `trace` on the current thread.
+    /// Starts the trace of request `trace` on the current thread.
     ///
     /// Called by the worker once per dequeued request, before any span
     /// opens; `enqueued` anchors the synthetic root span so queue wait is
-    /// part of the tree. Returns an inactive guard — and records nothing —
-    /// when the recorder is disabled. The guard must be
-    /// [finished](TraceGuard::finish) on the same thread; dropping it
+    /// part of the tree. When the recorder is disabled the guard is
+    /// inactive: it collects no spans, but its
+    /// [`finish`](TraceGuard::finish) still retains slow and panicked
+    /// requests. The guard must be finished on the same thread; dropping it
     /// unfinished discards the partial trace.
-    pub fn begin_trace(self: &Arc<Recorder>, trace: TraceId, enqueued: Instant) -> TraceGuard {
-        if !self.is_enabled() {
-            return TraceGuard(None);
+    pub fn begin_trace(&self, trace: TraceId, enqueued: Instant) -> TraceGuard<'_> {
+        let active = self.is_enabled();
+        if active {
+            TRACE.with(|cell| {
+                *cell.borrow_mut() = Some(ActiveTrace::new(trace));
+            });
         }
-        TRACE.with(|cell| {
-            *cell.borrow_mut() = Some(ActiveTrace::new(trace));
-        });
-        TraceGuard(Some(TraceInner {
-            recorder: Arc::clone(self),
+        TraceGuard {
+            recorder: self,
             trace,
             enqueued,
-        }))
+            active,
+        }
     }
 }
 
@@ -443,61 +317,123 @@ impl Drop for AttachGuard {
     }
 }
 
-/// The per-request trace being built; returned by [`Recorder::begin_trace`].
+/// The per-request trace handle returned by [`Recorder::begin_trace`].
 ///
-/// While the guard is live, every span opened on this thread joins the
-/// trace with a parent link. [`finish`](TraceGuard::finish) synthesises the
-/// queue-wait and root request spans, decides tail-based retention, and
-/// captures at most one flight dump for slow/panicked requests. Dropping
-/// the guard without finishing discards the partial trace.
+/// While the guard is active (the recorder was enabled when the request was
+/// dequeued), every span opened on this thread joins the trace with a parent
+/// link. [`finish`](TraceGuard::finish) is the one completion path for every
+/// request, traced or not. Dropping the guard without finishing discards the
+/// partial trace.
 #[derive(Debug)]
-pub struct TraceGuard(Option<TraceInner>);
-
-#[derive(Debug)]
-struct TraceInner {
-    recorder: Arc<Recorder>,
+pub struct TraceGuard<'a> {
+    recorder: &'a Recorder,
     trace: TraceId,
     enqueued: Instant,
+    /// Whether spans are being collected into this thread's trace.
+    active: bool,
 }
 
-impl TraceGuard {
-    /// Whether this guard is actually collecting a trace (the recorder was
-    /// enabled when the request was dequeued).
-    pub fn is_active(&self) -> bool {
-        self.0.is_some()
+impl TraceGuard<'_> {
+    /// Completes the request and decides its retention.
+    ///
+    /// When active, synthesises the queue-wait child and the root request
+    /// span (anchored at the enqueue instant, so child stage spans sum to
+    /// the root within clock resolution). Both reach the flight ring; only
+    /// the queue wait feeds a stage histogram, because request latency has
+    /// one histogram, owned by the serving layer.
+    ///
+    /// Then every [`RetainReason`] is evaluated and, when any applies, one
+    /// [`TraceTree`] is retained. Slow and panicked trees carry the flight
+    /// ring and bump [`Counter::SlowDumps`] / [`Counter::PanicDumps`]; an
+    /// inactive guard retains them too, as span-less trees. Error and
+    /// sampled retention need spans, so they apply only while active.
+    ///
+    /// `detail` builds free-form worker context (graph name, latency, panic
+    /// message) and runs only when the tree is retained.
+    pub fn finish(
+        mut self,
+        queue_wait: Duration,
+        outcome: TraceOutcome,
+        detail: impl FnOnce() -> String,
+    ) {
+        let recorder = self.recorder;
+        let config = recorder.config();
+        let active = std::mem::take(&mut self.active);
+        let total_us = if active || config.slow_threshold_us.is_some() {
+            micros(self.enqueued.elapsed())
+        } else {
+            0
+        };
+        let spans = if active {
+            let Some(active) = TRACE.with(|cell| cell.borrow_mut().take()) else {
+                return;
+            };
+            self.close_tree(active, queue_wait, total_us)
+        } else {
+            Vec::new()
+        };
+
+        let slow = matches!(config.slow_threshold_us, Some(t) if total_us > t)
+            || spans.iter().any(|span| {
+                matches!(
+                    config.stage_thresholds_us[span.stage as usize],
+                    Some(t) if span.duration_us > t
+                )
+            });
+        let panicked = outcome == TraceOutcome::Panic;
+        let mut reasons = Vec::new();
+        if slow {
+            reasons.push(RetainReason::Slow);
+        }
+        if outcome == TraceOutcome::Error && active {
+            reasons.push(RetainReason::Error);
+        }
+        if panicked {
+            reasons.push(RetainReason::Panic);
+        }
+        let trace = self.trace.as_u64();
+        if active && config.sample_every > 0 && (trace - 1).is_multiple_of(config.sample_every) {
+            reasons.push(RetainReason::Sampled);
+        }
+        if reasons.is_empty() {
+            return;
+        }
+        if slow {
+            recorder.add_counter(Counter::SlowDumps, 1);
+        }
+        if panicked {
+            recorder.add_counter(Counter::PanicDumps, 1);
+        }
+        recorder.traces.retain(TraceTree {
+            trace: self.trace,
+            reasons,
+            detail: detail(),
+            spans,
+            ring: if slow || panicked {
+                recorder.ring_snapshot()
+            } else {
+                Vec::new()
+            },
+        });
     }
 
-    /// Completes the trace: synthesises the queue-wait child and the root
-    /// request span (anchored at the enqueue instant, so child stage spans
-    /// sum to the root within clock resolution), evaluates every
-    /// [`RetainReason`], and — when any applies — retains the tree and
-    /// captures a single flight dump for the dump-worthy reasons.
-    ///
-    /// `detail` is free-form worker context (graph name, latency, panic
-    /// message) stored on both the tree and the dump.
-    pub fn finish(mut self, queue_wait: Duration, outcome: TraceOutcome, detail: &str) {
-        let Some(inner) = self.0.take() else { return };
-        let Some(mut active) = TRACE.with(|cell| cell.borrow_mut().take()) else {
-            return;
-        };
-        let recorder = &inner.recorder;
-        let trace = inner.trace.as_u64();
-        let root_start_us = inner
-            .enqueued
-            .saturating_duration_since(recorder.epoch)
-            .as_micros()
-            .min(u128::from(u64::MAX)) as u64;
-        let total_us = inner
-            .enqueued
-            .elapsed()
-            .as_micros()
-            .min(u128::from(u64::MAX)) as u64;
-        let queue_wait_us = queue_wait.as_micros().min(u128::from(u64::MAX)) as u64;
+    /// Closes an active trace: synthesises its queue-wait and root spans
+    /// and returns every span of the tree.
+    fn close_tree(
+        &self,
+        mut active: ActiveTrace,
+        queue_wait: Duration,
+        total_us: u64,
+    ) -> Vec<TraceSpan> {
+        let recorder = self.recorder;
+        let trace = self.trace.as_u64();
+        let root_start_us = micros(self.enqueued.saturating_duration_since(recorder.epoch));
+        let queue_wait_us = micros(queue_wait);
 
         // Queue wait predates the worker, so its span is synthesised here
         // from the enqueue timestamp instead of being guard-recorded.
         let (queue_id, queue_parent) = active.open(Some(ROOT_SPAN_ID));
-        active.close(TraceSpan {
+        let queue = TraceSpan {
             span_id: queue_id,
             parent_id: queue_parent,
             stage: Stage::QueueWait,
@@ -505,86 +441,44 @@ impl TraceGuard {
             start_us: root_start_us,
             duration_us: queue_wait_us,
             attr: 0,
-        });
-        recorder.record_span_traced(
-            Stage::QueueWait,
-            1,
-            root_start_us,
-            queue_wait_us,
-            0,
-            trace,
-            queue_id,
-            queue_parent,
-        );
+        };
+        recorder.record_event(queue.event(1, trace));
+        active.close(queue);
 
         // The root span covers the whole request, queue wait included; its
-        // attribute is the number of child spans in the finished tree. Both
-        // synthetic spans reach the flight ring *before* any dump below, so
-        // a panicking request's dump shows its full span trail.
-        let child_count = active.spans.len() as u64;
-        active.close(TraceSpan {
+        // attribute is the number of child spans in the finished tree. It
+        // reaches the flight ring before retention snapshots the ring, so a
+        // panicking request's ring shows its full span trail.
+        let root = TraceSpan {
             span_id: ROOT_SPAN_ID,
             parent_id: 0,
             stage: Stage::Request,
             thread: thread_id(),
             start_us: root_start_us,
             duration_us: total_us,
-            attr: child_count,
-        });
-        recorder.record_span_traced(
-            Stage::Request,
-            0,
-            root_start_us,
-            total_us,
-            child_count,
-            trace,
-            ROOT_SPAN_ID,
-            0,
-        );
-
-        let config = recorder.config();
-        let mut reasons = Vec::new();
-        let over_total = matches!(config.slow_threshold_us, Some(t) if total_us > t);
-        let over_stage = active.spans.iter().any(|span| {
-            matches!(
-                config.stage_thresholds_us[span.stage as usize],
-                Some(t) if span.duration_us > t
-            )
-        });
-        if over_total || over_stage {
-            reasons.push(RetainReason::Slow);
-        }
-        match outcome {
-            TraceOutcome::Ok => {}
-            TraceOutcome::Error => reasons.push(RetainReason::Error),
-            TraceOutcome::Panic => reasons.push(RetainReason::Panic),
-        }
-        if config.sample_every > 0 && (trace - 1) % config.sample_every == 0 {
-            reasons.push(RetainReason::Sampled);
-        }
-        if reasons.is_empty() {
-            return;
-        }
-        recorder.capture_dump_for(&reasons, detail);
-        recorder.traces.retain(TraceTree {
-            trace: inner.trace,
-            reasons,
-            detail: detail.to_string(),
-            spans: active.spans,
-        });
+            attr: active.spans.len() as u64,
+        };
+        recorder.ring.push(&root.event(0, trace));
+        active.close(root);
+        active.spans
     }
 }
 
-impl Drop for TraceGuard {
+impl Drop for TraceGuard<'_> {
     fn drop(&mut self) {
         // Finishing clears the slot; an unfinished guard must too, so a
         // worker bailing out early cannot leak spans into the next request.
-        if self.0.is_some() {
+        if self.active {
             TRACE.with(|cell| {
                 *cell.borrow_mut() = None;
             });
         }
     }
+}
+
+/// Whole microseconds in `duration`, saturating at `u64::MAX`.
+fn micros(duration: Duration) -> u64 {
+    duration.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 /// A live span; recorded when dropped. Produced by [`enter`] / [`span!`](crate::span).
@@ -628,12 +522,22 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(active) = self.0.take() {
             DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-            let start_us = active
-                .start
-                .saturating_duration_since(active.recorder.epoch)
-                .as_micros()
-                .min(u128::from(u64::MAX)) as u64;
-            let duration_us = active.start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+            let span = TraceSpan {
+                span_id: active.span_id,
+                parent_id: active.parent_id,
+                stage: active.stage,
+                thread: thread_id(),
+                start_us: micros(
+                    active
+                        .start
+                        .saturating_duration_since(active.recorder.epoch),
+                ),
+                duration_us: micros(active.start.elapsed()),
+                attr: active.attr,
+            };
+            active
+                .recorder
+                .record_event(span.event(active.depth, active.trace));
             if active.trace != 0 {
                 // Append the completed span to the thread's trace tree.
                 // This runs during panic unwinding too, so an unwinding
@@ -641,29 +545,11 @@ impl Drop for SpanGuard {
                 TRACE.with(|cell| {
                     if let Some(current) = cell.borrow_mut().as_mut() {
                         if current.trace.as_u64() == active.trace {
-                            current.close(TraceSpan {
-                                span_id: active.span_id,
-                                parent_id: active.parent_id,
-                                stage: active.stage,
-                                thread: thread_id(),
-                                start_us,
-                                duration_us,
-                                attr: active.attr,
-                            });
+                            current.close(span);
                         }
                     }
                 });
             }
-            active.recorder.record_span_traced(
-                active.stage,
-                active.depth,
-                start_us,
-                duration_us,
-                active.attr,
-                active.trace,
-                active.span_id,
-                active.parent_id,
-            );
         }
     }
 }
@@ -831,6 +717,8 @@ macro_rules! span {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
 
     /// Serialises tests that observe the process-global enabled count.
@@ -916,36 +804,54 @@ mod tests {
 
     #[test]
     fn counters_and_dumps_work_while_disabled() {
-        let recorder = Recorder::new(ObsConfig {
-            max_dumps: 2,
-            ..ObsConfig::default()
-        });
+        let recorder = Recorder::new(ObsConfig::default().with_slow_threshold(1_000_000));
         recorder.add_counter(Counter::Publishes, 3);
         assert_eq!(recorder.counter(Counter::Publishes), 3);
-        recorder.capture_dump(DumpReason::Panic, "first");
-        recorder.capture_dump(DumpReason::OnDemand, "second");
-        recorder.capture_dump(DumpReason::Slow, "third");
-        let dumps = recorder.dumps();
-        assert_eq!(dumps.len(), 2, "bounded by max_dumps");
-        assert_eq!(dumps[0].detail, "second");
-        assert_eq!(dumps[1].detail, "third");
+        recorder.record_span(Stage::Discovery, 1, 0, 10, 0);
+        // An inactive guard still retains a panicked request: span-less,
+        // with its reasons, detail and the ring.
+        let tguard = recorder.begin_trace(TraceId::from_seq(0), Instant::now());
+        tguard.finish(Duration::ZERO, TraceOutcome::Panic, || "boom".to_string());
+        // Errors and fast requests are not retained without spans, and
+        // their detail is never built.
+        for outcome in [TraceOutcome::Error, TraceOutcome::Ok] {
+            recorder
+                .begin_trace(TraceId::from_seq(1), Instant::now())
+                .finish(Duration::ZERO, outcome, || {
+                    panic!("detail of a dropped trace")
+                });
+        }
+        let trees = recorder.traces().trees();
+        assert_eq!(trees.len(), 1);
+        assert_eq!(trees[0].reasons, vec![RetainReason::Panic]);
+        assert_eq!(trees[0].detail, "boom");
+        assert!(trees[0].spans.is_empty());
+        assert_eq!(trees[0].ring.len(), 1);
+        assert_eq!(trees[0].ring[0].stage, Stage::Discovery);
         assert_eq!(recorder.counter(Counter::PanicDumps), 1);
-        assert_eq!(recorder.counter(Counter::SlowDumps), 1);
+        assert_eq!(recorder.counter(Counter::SlowDumps), 0);
     }
 
     #[test]
     fn slow_threshold_gates_slow_dumps() {
-        let recorder = Recorder::new(ObsConfig {
-            slow_threshold_us: Some(1_000),
-            ..ObsConfig::default()
-        });
-        assert!(!recorder.maybe_dump_slow(500, "fast"));
-        assert!(recorder.maybe_dump_slow(1_500, "slow"));
-        assert_eq!(recorder.dumps().len(), 1);
+        let recorder = Recorder::new(ObsConfig::default().with_slow_threshold(1_000));
+        recorder
+            .begin_trace(TraceId::from_seq(0), Instant::now())
+            .finish(Duration::ZERO, TraceOutcome::Ok, || panic!("fast request"));
+        assert!(recorder.traces().is_empty());
+        let tguard = recorder.begin_trace(TraceId::from_seq(1), Instant::now());
+        std::thread::sleep(Duration::from_millis(2));
+        tguard.finish(Duration::ZERO, TraceOutcome::Ok, || "slow".to_string());
+        let trees = recorder.traces().trees();
+        assert_eq!(trees.len(), 1);
+        assert_eq!(trees[0].reasons, vec![RetainReason::Slow]);
         assert_eq!(recorder.counter(Counter::SlowDumps), 1);
 
         let unset = Recorder::default();
-        assert!(!unset.maybe_dump_slow(u64::MAX, "never"));
+        let tguard = unset.begin_trace(TraceId::from_seq(0), Instant::now());
+        std::thread::sleep(Duration::from_millis(2));
+        tguard.finish(Duration::ZERO, TraceOutcome::Ok, || panic!("no threshold"));
+        assert!(unset.traces().is_empty());
     }
 
     #[test]
@@ -977,30 +883,6 @@ mod tests {
         assert_eq!(ENABLED_RECORDERS.load(Ordering::Relaxed), before);
     }
 
-    /// Regression test: `capture_dump` runs from the worker panic hook, so
-    /// it must survive a poisoned dumps mutex instead of double-panicking
-    /// (which would abort the process mid-diagnosis).
-    #[test]
-    fn capture_dump_survives_a_poisoned_dumps_mutex() {
-        let recorder = Arc::new(Recorder::default());
-        // Poison the dumps mutex by panicking while holding it.
-        let poisoner = Arc::clone(&recorder);
-        std::thread::spawn(move || {
-            let _guard = poisoner.dumps.lock().unwrap();
-            panic!("poison the dumps lock");
-        })
-        .join()
-        .unwrap_err();
-        assert!(recorder.dumps.is_poisoned());
-
-        let dump = recorder.capture_dump(DumpReason::Panic, "worker died");
-        assert_eq!(dump.reason, "panic");
-        let retained = recorder.dumps();
-        assert_eq!(retained.len(), 1);
-        assert_eq!(retained[0].detail, "worker died");
-        assert_eq!(recorder.counter(Counter::PanicDumps), 1);
-    }
-
     #[test]
     fn traces_link_spans_to_parents_and_head_sampling_retains() {
         let _serial = serial();
@@ -1008,14 +890,15 @@ mod tests {
         recorder.enable();
         let _attach = recorder.attach();
         let tguard = recorder.begin_trace(TraceId::from_seq(6), Instant::now());
-        assert!(tguard.is_active());
         {
             let _outer = span!(Stage::Discovery);
             let context = current_context();
             assert_eq!(context.unwrap().trace, TraceId::from_seq(6));
             let _inner = enter_in_context(context, Stage::Algorithm, 5);
         }
-        tguard.finish(Duration::from_micros(100), TraceOutcome::Ok, "graph=g");
+        tguard.finish(Duration::from_micros(100), TraceOutcome::Ok, || {
+            "graph=g".to_string()
+        });
         recorder.disable();
 
         let trees = recorder.traces().trees();
@@ -1043,12 +926,17 @@ mod tests {
         let queue = find(Stage::QueueWait);
         assert_eq!(queue.parent_id, root.span_id);
         assert_eq!(queue.duration_us, 100);
-        // The request histogram's exemplar points back at this trace, and a
-        // sampled-only request captures no flight dump.
-        let snapshot = recorder.stage_histogram(Stage::Request).snapshot();
+        // The queue-wait histogram's exemplar points back at this trace.
+        // The root span reaches the ring but no histogram: request latency
+        // is recorded once, by the serving layer.
+        let snapshot = recorder.stage_histogram(Stage::QueueWait).snapshot();
         let raw = TraceId::from_seq(6).as_u64();
         assert!(snapshot.bucket_exemplars().contains(&raw));
-        assert!(recorder.dumps().is_empty());
+        assert_eq!(recorder.stage_histogram(Stage::Request).count(), 0);
+        let last = *recorder.ring_snapshot().last().unwrap();
+        assert_eq!((last.stage, last.trace), (Stage::Request, raw));
+        // A sampled-only tree carries no ring.
+        assert!(tree.ring.is_empty());
     }
 
     #[test]
@@ -1059,19 +947,23 @@ mod tests {
         let _attach = recorder.attach();
         let tguard = recorder.begin_trace(TraceId::from_seq(0), Instant::now());
         std::thread::sleep(Duration::from_millis(2));
-        tguard.finish(Duration::ZERO, TraceOutcome::Panic, "graph=g panic=boom");
+        tguard.finish(Duration::ZERO, TraceOutcome::Panic, || {
+            "graph=g panic=boom".to_string()
+        });
         recorder.disable();
 
         let trees = recorder.traces().trees();
-        assert_eq!(trees.len(), 1);
+        assert_eq!(trees.len(), 1, "slow+panic retains one tree, not two");
         assert_eq!(
             trees[0].reasons,
             vec![RetainReason::Slow, RetainReason::Panic]
         );
-        let dumps = recorder.dumps();
-        assert_eq!(dumps.len(), 1, "slow+panic retains one dump, not two");
-        assert_eq!(dumps[0].reason, "slow+panic");
-        assert_eq!(dumps[0].detail, "graph=g panic=boom");
+        assert_eq!(trees[0].detail, "graph=g panic=boom");
+        let stages: Vec<Stage> = trees[0].ring.iter().map(|e| e.stage).collect();
+        assert_eq!(stages, vec![Stage::QueueWait, Stage::Request]);
+        let json = crate::JsonValue::parse(&trees[0].to_json()).unwrap();
+        let ring = json.get("ring").unwrap().as_array().unwrap();
+        assert_eq!(ring[1].get("stage").unwrap().as_str(), Some("request"));
         assert_eq!(recorder.counter(Counter::SlowDumps), 1);
         assert_eq!(recorder.counter(Counter::PanicDumps), 1);
     }
@@ -1085,14 +977,15 @@ mod tests {
         recorder.enable();
         let _attach = recorder.attach();
         let tguard = recorder.begin_trace(TraceId::from_seq(1), Instant::now());
-        tguard.finish(Duration::from_micros(100), TraceOutcome::Ok, "graph=g");
+        tguard.finish(Duration::from_micros(100), TraceOutcome::Ok, || {
+            "graph=g".to_string()
+        });
         recorder.disable();
         let trees = recorder.traces().trees();
         assert_eq!(trees.len(), 1);
         assert_eq!(trees[0].reasons, vec![RetainReason::Slow]);
-        let dumps = recorder.dumps();
-        assert_eq!(dumps.len(), 1);
-        assert_eq!(dumps[0].reason, "slow");
+        assert!(!trees[0].ring.is_empty());
+        assert_eq!(recorder.counter(Counter::SlowDumps), 1);
     }
 
     #[test]
@@ -1100,8 +993,7 @@ mod tests {
         let _serial = serial();
         let recorder = Arc::new(Recorder::default());
         let tguard = recorder.begin_trace(TraceId::from_seq(0), Instant::now());
-        assert!(!tguard.is_active());
-        tguard.finish(Duration::ZERO, TraceOutcome::Ok, "");
+        tguard.finish(Duration::ZERO, TraceOutcome::Ok, String::new);
         assert!(recorder.traces().is_empty());
         assert_eq!(recorder.events_recorded(), 0);
     }

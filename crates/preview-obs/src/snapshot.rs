@@ -7,7 +7,6 @@
 //! [`name`](Stage::name), so `obs-bench --check` can verify the document by
 //! enumeration. All durations are microseconds.
 
-use crate::flight::FlightDump;
 use crate::histogram::{bucket_lower, HistogramSnapshot};
 use crate::json::{write_json_f64, write_json_string};
 use crate::recorder::Recorder;
@@ -87,9 +86,8 @@ pub struct ObsSnapshot {
     pub memory: Option<MemorySection>,
     /// Peak resident set size of the process, when the platform exposes it.
     pub peak_rss_bytes: Option<u64>,
-    /// Retained flight-recorder dumps, oldest first.
-    pub dumps: Vec<FlightDump>,
-    /// Tail-sampled trace trees, oldest first.
+    /// Retained trace trees, oldest first; slow and panicked trees carry
+    /// the flight ring.
     pub traces: Vec<TraceTree>,
     /// Per-route request totals, when the serving layer provides them.
     pub routes: Vec<RouteCount>,
@@ -100,8 +98,8 @@ pub struct ObsSnapshot {
 }
 
 impl Recorder {
-    /// Exports counters, per-stage histograms, ring totals, retained dumps,
-    /// and the current peak RSS. The serving layer adds
+    /// Exports counters, per-stage histograms, ring totals, retained trace
+    /// trees, and the current peak RSS. The serving layer adds
     /// [`ObsSnapshot::service_latency`] and [`ObsSnapshot::memory`].
     pub fn snapshot(&self) -> ObsSnapshot {
         ObsSnapshot {
@@ -115,7 +113,6 @@ impl Recorder {
             service_latency: None,
             memory: None,
             peak_rss_bytes: crate::peak_rss_bytes(),
-            dumps: self.dumps(),
             traces: self.traces().trees(),
             routes: Vec::new(),
             window: None,
@@ -220,14 +217,7 @@ impl ObsSnapshot {
             Some(bytes) => out.push_str(&format!("{bytes}")),
             None => out.push_str("null"),
         }
-        out.push_str(",\"dumps\":[");
-        for (index, dump) in self.dumps.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push_str(&dump.to_json());
-        }
-        out.push_str("],\"traces\":[");
+        out.push_str(",\"traces\":[");
         for (index, tree) in self.traces.iter().enumerate() {
             if index > 0 {
                 out.push(',');
@@ -266,7 +256,7 @@ impl ObsSnapshot {
 mod tests {
     use super::*;
     use crate::json::JsonValue;
-    use crate::recorder::{DumpReason, ObsConfig};
+    use crate::recorder::ObsConfig;
     use crate::stage::STAGE_COUNT;
 
     #[test]
@@ -274,7 +264,15 @@ mod tests {
         let recorder = Recorder::new(ObsConfig::default());
         recorder.record_span(Stage::Discovery, 1, 10, 250, 3);
         recorder.add_counter(Counter::Publishes, 2);
-        recorder.capture_dump(DumpReason::OnDemand, "manual");
+        // A panicked request on the disabled recorder: retained span-less,
+        // with the ring (the discovery span above) attached.
+        recorder
+            .begin_trace(crate::TraceId::from_seq(0), std::time::Instant::now())
+            .finish(
+                std::time::Duration::ZERO,
+                crate::TraceOutcome::Panic,
+                || "manual".to_string(),
+            );
         let mut snapshot = recorder.snapshot();
         let latency = crate::Histogram::new();
         latency.record(100);
@@ -338,9 +336,13 @@ mod tests {
             Some(1096)
         );
 
-        let dumps = parsed.get("dumps").unwrap().as_array().unwrap();
-        assert_eq!(dumps.len(), 1);
-        assert_eq!(dumps[0].get("reason").unwrap().as_str(), Some("on_demand"));
+        let traces = parsed.get("traces").unwrap().as_array().unwrap();
+        assert_eq!(traces.len(), 1);
+        assert_eq!(traces[0].get("detail").unwrap().as_str(), Some("manual"));
+        let ring = traces[0].get("ring").unwrap().as_array().unwrap();
+        assert_eq!(ring.len(), 1);
+        assert_eq!(ring[0].get("stage").unwrap().as_str(), Some("discovery"));
+        assert!(parsed.get("dumps").is_none());
 
         assert_eq!(parsed.get("events_recorded").unwrap().as_u64(), Some(1));
     }

@@ -16,7 +16,9 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum Stage {
-    /// A whole request, from dequeue to reply.
+    /// A whole request, from enqueue to reply: the root of its trace tree.
+    /// The serving layer keeps request latency in its own histogram, so
+    /// trace roots reach the flight ring but not this stage's histogram.
     Request = 0,
     /// Time a job waited in the submission queue before a worker picked it up.
     QueueWait = 1,
@@ -72,7 +74,7 @@ impl Stage {
         Stage::BestFirstSearch,
     ];
 
-    /// Stable snake_case name used in snapshot JSON and flight dumps.
+    /// Stable snake_case name used in snapshot JSON and span events.
     pub const fn name(self) -> &'static str {
         match self {
             Stage::Request => "request",
@@ -119,9 +121,9 @@ pub enum Counter {
     CacheCarried = 4,
     /// Cache entries invalidated by publishes.
     CacheInvalidated = 5,
-    /// Flight-recorder dumps triggered by worker panics.
+    /// Panicked requests retained as trace trees with the flight ring.
     PanicDumps = 6,
-    /// Flight-recorder dumps triggered by slow requests.
+    /// Slow requests retained as trace trees with the flight ring.
     SlowDumps = 7,
     /// Prefix nodes expanded by best-first discovery searches.
     NodesExpanded = 8,

@@ -13,12 +13,15 @@
 //! proportional to traffic, so the bounded [`TraceStore`] only retains trees
 //! whose request was slow, errored, panicked, or explicitly sampled 1-in-N
 //! ([`RetainReason`] records which — a request can qualify several ways and
-//! is still retained exactly once).
+//! is still retained exactly once). A slow or panicked tree also carries
+//! the flight ring as it stood when the request finished, so the store is
+//! the one place a failed request's evidence is kept.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Mutex, PoisonError};
 
+use crate::flight::SpanEvent;
 use crate::json::write_json_string;
 use crate::stage::Stage;
 
@@ -85,9 +88,8 @@ pub enum TraceOutcome {
     Panic,
 }
 
-/// Why a trace tree (and, for slow/panic, the matching flight dump) was
-/// retained. A request can qualify for several reasons; it is retained once
-/// with all of them recorded.
+/// Why a trace tree was retained. A request can qualify for several
+/// reasons; it is retained once with all of them recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RetainReason {
     /// The request (or one of its stages) exceeded a configured threshold.
@@ -101,7 +103,7 @@ pub enum RetainReason {
 }
 
 impl RetainReason {
-    /// Stable name used in snapshot JSON and joined dump reasons.
+    /// Stable name used in snapshot JSON.
     pub const fn name(self) -> &'static str {
         match self {
             RetainReason::Slow => "slow",
@@ -132,6 +134,22 @@ pub struct TraceSpan {
 }
 
 impl TraceSpan {
+    /// The flight-ring event for this span at nesting `depth` in trace
+    /// `trace` (`0` when untraced).
+    pub(crate) fn event(self, depth: u8, trace: u64) -> SpanEvent {
+        SpanEvent {
+            stage: self.stage,
+            depth,
+            thread: self.thread,
+            start_us: self.start_us,
+            duration_us: self.duration_us,
+            attr: self.attr,
+            trace,
+            span_id: self.span_id,
+            parent_span: self.parent_id,
+        }
+    }
+
     /// Renders the span as a JSON object.
     pub fn to_json(&self) -> String {
         format!(
@@ -160,8 +178,12 @@ pub struct TraceTree {
     /// Free-form context from the worker (graph name, latency, message).
     pub detail: String,
     /// All spans of the request, in completion order; the root (the whole
-    /// request) is always last.
+    /// request) is always last. Empty when the recorder was disabled.
     pub spans: Vec<TraceSpan>,
+    /// The flight ring, oldest first, as it stood when the request finished;
+    /// captured only when the reasons include [slow](RetainReason::Slow) or
+    /// [panic](RetainReason::Panic), empty otherwise.
+    pub ring: Vec<SpanEvent>,
 }
 
 impl TraceTree {
@@ -197,6 +219,13 @@ impl TraceTree {
                 out.push(',');
             }
             out.push_str(&span.to_json());
+        }
+        out.push_str("],\"ring\":[");
+        for (index, event) in self.ring.iter().enumerate() {
+            if index > 0 {
+                out.push(',');
+            }
+            out.push_str(&event.to_json());
         }
         out.push_str("]}");
         out
@@ -375,6 +404,7 @@ mod tests {
                 span(4, 1, Stage::Response),
                 span(1, 0, Stage::Request),
             ],
+            ring: Vec::new(),
         };
         assert_eq!(tree.root().unwrap().stage, Stage::Request);
         let children: Vec<Stage> = tree.children(1).iter().map(|s| s.stage).collect();
@@ -383,6 +413,7 @@ mod tests {
         assert!(json.contains("\"trace\":\"0000000000000005\""));
         assert!(json.contains("\"reasons\":[\"slow\",\"panic\"]"));
         assert!(json.contains("\"stage\":\"request\""));
+        assert!(json.ends_with("\"ring\":[]}"));
     }
 
     #[test]
@@ -394,6 +425,7 @@ mod tests {
                 reasons: vec![RetainReason::Sampled],
                 detail: String::new(),
                 spans: Vec::new(),
+                ring: Vec::new(),
             });
         }
         let trees = store.trees();
@@ -402,5 +434,31 @@ mod tests {
         assert_eq!(trees[1].trace, TraceId::from_seq(4));
         assert!(!store.is_empty());
         assert_eq!(TraceStore::new(0).capacity(), 1);
+    }
+
+    /// Retention runs on the worker's panic-handling path, so it must
+    /// survive a poisoned store lock instead of double-panicking (which
+    /// would abort the process mid-diagnosis).
+    #[test]
+    fn store_survives_a_poisoned_lock() {
+        let store = std::sync::Arc::new(TraceStore::new(4));
+        let poisoner = std::sync::Arc::clone(&store);
+        std::thread::spawn(move || {
+            let _guard = poisoner.trees.lock().unwrap();
+            panic!("poison the store lock");
+        })
+        .join()
+        .unwrap_err();
+        assert!(store.trees.is_poisoned());
+        store.retain(TraceTree {
+            trace: TraceId::from_seq(0),
+            reasons: vec![RetainReason::Panic],
+            detail: "worker died".to_string(),
+            spans: Vec::new(),
+            ring: Vec::new(),
+        });
+        let trees = store.trees();
+        assert_eq!(trees.len(), 1);
+        assert_eq!(trees[0].detail, "worker died");
     }
 }

@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 
 use entity_graph::{DeltaSummary, GraphDelta};
 use preview_obs::{
-    Counter, DumpReason, MemorySection, MetricsCumulative, ObsSnapshot, Recorder, ShardMemory,
-    SloSpec, Stage, TimeSeries, TimeSeriesConfig, TraceId, TraceOutcome,
+    Counter, MemorySection, MetricsCumulative, ObsSnapshot, Recorder, ShardMemory, SloSpec, Stage,
+    TimeSeries, TimeSeriesConfig, TraceId, TraceOutcome,
 };
 
 use preview_core::{AnytimeBudget, BestFirstDiscovery};
@@ -99,7 +99,7 @@ struct Shared {
     seq: AtomicU64,
     /// Fault injection (see [`PreviewService::inject_panic_next`]): when
     /// set, the next computed request panics inside its span stack,
-    /// exercising the panic-dump and panic-retention paths end to end.
+    /// exercising panic retention end to end.
     inject_panic: AtomicBool,
     /// Fault injection (see [`PreviewService::inject_delay_next`]): the next
     /// computed request sleeps this many microseconds inside its discovery
@@ -110,17 +110,21 @@ struct Shared {
 impl Shared {
     /// Resolves and answers one request; the cache is consulted first, a
     /// cold key is computed at most once across concurrent workers, and the
-    /// result is published for later identical requests.
+    /// result is published for later identical requests. Returns the
+    /// response with the resolved graph's route slot.
     fn execute(
         &self,
         request: &PreviewRequest,
         queue_wait: Duration,
-    ) -> ServiceResult<PreviewResponse> {
+    ) -> ServiceResult<(PreviewResponse, usize)> {
         // lint: allow(wall-clock, compute-latency measurement feeds stats only)
         let start = Instant::now();
         let graph = self.registry.resolve(&request.graph, request.version)?;
+        let route = graph.route_slot();
         if let Some(budget) = request.node_budget {
-            return self.execute_anytime(request, &graph, budget, queue_wait, start);
+            return self
+                .execute_anytime(request, &graph, budget, queue_wait, start)
+                .map(|response| (response, route));
         }
         // Auto-resolution sizes the space by the schema's type count — an
         // upper bound on the eligible types, deterministic per version and
@@ -136,7 +140,7 @@ impl Shared {
             algorithm,
         };
         let (cached, cache_hit) = self.lookup_or_compute(request, &key)?;
-        Ok(PreviewResponse {
+        let response = PreviewResponse {
             graph: key.graph,
             version: key.version,
             algorithm,
@@ -147,7 +151,8 @@ impl Shared {
             compute: start.elapsed(),
             optimality_gap: None,
             trace: None,
-        })
+        };
+        Ok((response, route))
     }
 
     /// Answers an anytime (budgeted) request: always the best-first engine,
@@ -248,7 +253,7 @@ impl Shared {
         }
         // lint: ordering-ok(one-shot fault-injection latch; SeqCst keeps arm/fire strictly ordered)
         if self.inject_panic.swap(false, Ordering::SeqCst) {
-            // lint: allow(request-path-unwrap, deliberate fault injection exercising the panic-dump path)
+            // lint: allow(request-path-unwrap, deliberate fault injection exercising the panic-retention path)
             panic!("injected test panic");
         }
         let graph = self.registry.resolve(&request.graph, request.version)?;
@@ -448,7 +453,7 @@ impl PreviewService {
     }
 
     /// A unified observability snapshot: counters, per-stage histograms,
-    /// retained flight dumps and trace trees, per-route request counts, the
+    /// retained trace trees, per-route request counts, the
     /// exact end-to-end service latency histogram (with trace-id
     /// exemplars), the current metrics window and SLO statuses, and the
     /// memory breakdown of the latest sharded graph version (when one is
@@ -456,7 +461,10 @@ impl PreviewService {
     pub fn snapshot(&self) -> ObsSnapshot {
         let mut snapshot = self.shared.obs.snapshot();
         snapshot.service_latency = Some(self.shared.stats.latency_histogram());
-        snapshot.routes = self.shared.stats.routes();
+        snapshot.routes = self
+            .shared
+            .stats
+            .routes(&self.shared.registry.route_names());
         snapshot.memory = self.latest_sharded_memory();
         {
             let metrics = lock_unpoisoned(&self.metrics);
@@ -508,9 +516,8 @@ impl PreviewService {
 
     /// Fault injection: the next *computed* (cache-missing) request panics
     /// inside its span stack. The worker survives; the caller receives
-    /// [`ServiceError::Panicked`]. Exercises the panic-dump and
-    /// panic-retention paths end to end — meant for tests and
-    /// observability drills, not production traffic.
+    /// [`ServiceError::Panicked`]. Exercises panic retention end to end —
+    /// meant for tests and observability drills, not production traffic.
     pub fn inject_panic_next(&self) {
         // lint: ordering-ok(one-shot fault-injection latch; SeqCst keeps arm/fire strictly ordered)
         self.shared.inject_panic.store(true, Ordering::SeqCst);
@@ -602,7 +609,9 @@ impl PreviewService {
     /// worker pool (but still using — and populating — the shared cache).
     /// Latency is not recorded in the service stats.
     pub fn execute_inline(&self, request: &PreviewRequest) -> ServiceResult<PreviewResponse> {
-        self.shared.execute(request, Duration::ZERO)
+        self.shared
+            .execute(request, Duration::ZERO)
+            .map(|(response, _)| response)
     }
 
     /// Publishes a batch of graph edits against the latest version of
@@ -755,17 +764,18 @@ fn worker_loop(shared: &Shared, queue: &BoundedQueue<Job>) {
         let queue_wait = job.enqueued.elapsed();
         // Open the request's trace before any span fires: every span the
         // request records on this thread then parents into one tree rooted
-        // at the ingress-minted trace id. Inert when the recorder is off.
+        // at the ingress-minted trace id. Collects no spans when the
+        // recorder is off.
         let tguard = shared.obs.begin_trace(job.trace, job.enqueued);
         // Isolate panics per request: a buggy graph/space combination must
         // not take the worker (and with it the whole pool) down — the caller
         // gets a typed error and the worker moves on to the next job. Spans
         // live *inside* the unwind boundary: an unwinding request drops its
         // guards on the way out, so its whole span trail reaches the flight
-        // ring (and the trace tree) before the dump below is captured. The
+        // ring (and the trace tree) before retention snapshots the ring. The
         // root Request span itself is synthesized by `TraceGuard::finish`,
         // covering enqueue-to-finish rather than just the compute section.
-        let mut result = catch_unwind(AssertUnwindSafe(|| {
+        let result = catch_unwind(AssertUnwindSafe(|| {
             shared.execute(&job.request, queue_wait)
         }))
         .unwrap_or_else(|payload| {
@@ -775,57 +785,45 @@ fn worker_loop(shared: &Shared, queue: &BoundedQueue<Job>) {
                 message: panic_message(payload.as_ref()),
             })
         });
-        let mut latency_us = 0u64;
-        let (outcome, detail) = match &mut result {
-            Ok(response) => {
+        // The completion path: one histogram record and one route count for
+        // a success, one failure count otherwise — no lock, no allocation.
+        let (result, outcome) = match result {
+            Ok((mut response, route)) => {
                 response.trace = Some(job.trace);
-                let latency = response.latency();
-                latency_us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
-                shared.stats.record_completed(latency, Some(job.trace));
                 shared
                     .stats
-                    .record_route(&response.graph, response.algorithm.name());
-                (
-                    TraceOutcome::Ok,
-                    format!("graph={} latency_us={latency_us}", job.request.graph),
-                )
+                    .record_completed(response.latency(), Some(job.trace));
+                shared.stats.record_route(route, response.algorithm);
+                (Ok(response), TraceOutcome::Ok)
             }
-            Err(ServiceError::Panicked { message }) => {
+            Err(error) => {
                 shared.stats.record_failed();
-                (
-                    TraceOutcome::Panic,
-                    format!("graph={} panic={message}", job.request.graph),
-                )
-            }
-            Err(other) => {
-                shared.stats.record_failed();
-                (
-                    TraceOutcome::Error,
-                    format!("graph={} error={other}", job.request.graph),
-                )
+                let outcome = match error {
+                    ServiceError::Panicked { .. } => TraceOutcome::Panic,
+                    _ => TraceOutcome::Error,
+                };
+                (Err(error), outcome)
             }
         };
         // Finish the trace *before* the reply is sent: once the client
-        // unblocks, the retained tree / dump must already be observable.
-        if tguard.is_active() {
-            // Finish closes the tree (synthesizing the QueueWait child and
-            // the root Request span), decides retention — slow / error /
-            // panic / head-sampled — and captures at most one flight dump
-            // with the joined reasons.
-            tguard.finish(queue_wait, outcome, &detail);
-        } else {
-            // Recorder disabled (or enabled mid-request): keep the plain
-            // dump paths alive so panics and slow requests are still caught.
-            match outcome {
-                TraceOutcome::Panic => {
-                    shared.obs.capture_dump(DumpReason::Panic, &detail);
+        // unblocks, a retained tree must already be observable. Finishing
+        // closes the tree (when the recorder is enabled) and decides
+        // retention — slow / error / panic / head-sampled — for enabled and
+        // disabled recorders alike; the detail is built only for a retained
+        // tree.
+        tguard.finish(queue_wait, outcome, || {
+            let graph = &job.request.graph;
+            match &result {
+                Ok(response) => {
+                    format!(
+                        "graph={graph} latency_us={}",
+                        response.latency().as_micros()
+                    )
                 }
-                TraceOutcome::Ok if shared.obs.config().slow_threshold_us.is_some() => {
-                    shared.obs.maybe_dump_slow(latency_us, &detail);
-                }
-                _ => {}
+                Err(ServiceError::Panicked { message }) => format!("graph={graph} panic={message}"),
+                Err(other) => format!("graph={graph} error={other}"),
             }
-        }
+        });
         {
             // The client may have dropped its handle; that is not an error.
             // This span fires after the trace closed, so it feeds the
@@ -1026,9 +1024,9 @@ mod tests {
         assert_eq!(stats.completed, 0);
     }
 
-    /// Satellite: a panicking request must leave a flight-recorder dump
-    /// containing its span trail — the unwind drops the request's guards
-    /// into the ring before the dump is captured.
+    /// A panicking request must leave one retained tree whose ring holds
+    /// its span trail — the unwind drops the request's guards into the ring
+    /// before retention snapshots it.
     #[test]
     fn panicking_request_leaves_a_flight_dump_with_its_span_trail() {
         let registry = Arc::new(GraphRegistry::new());
@@ -1047,15 +1045,15 @@ mod tests {
         assert!(matches!(err, ServiceError::Panicked { .. }));
         assert_eq!(service.stats().failed, 1);
 
-        let dumps = recorder.dumps();
-        assert_eq!(dumps.len(), 1);
-        assert_eq!(dumps[0].reason, "panic");
+        let trees = recorder.traces().trees();
+        assert_eq!(trees.len(), 1);
+        assert_eq!(trees[0].reasons, vec![preview_obs::RetainReason::Panic]);
         assert!(
-            dumps[0].detail.contains("injected test panic"),
+            trees[0].detail.contains("injected test panic"),
             "detail = {:?}",
-            dumps[0].detail
+            trees[0].detail
         );
-        let stages: Vec<Stage> = dumps[0].events.iter().map(|e| e.stage).collect();
+        let stages: Vec<Stage> = trees[0].ring.iter().map(|e| e.stage).collect();
         assert!(stages.contains(&Stage::Discovery), "{stages:?}");
         assert!(stages.contains(&Stage::Request), "{stages:?}");
         assert_eq!(recorder.counter(Counter::PanicDumps), 1);
@@ -1071,10 +1069,9 @@ mod tests {
         let registry = Arc::new(GraphRegistry::new());
         registry.register("fig1", fixtures::figure1_graph());
         // Threshold 0: every request is "slow".
-        let recorder = Arc::new(Recorder::new(preview_obs::ObsConfig {
-            slow_threshold_us: Some(0),
-            ..preview_obs::ObsConfig::default()
-        }));
+        let recorder = Arc::new(Recorder::new(
+            preview_obs::ObsConfig::default().with_slow_threshold(0),
+        ));
         recorder.enable();
         let service = PreviewService::start_with_recorder(
             ServiceConfig::with_workers(1),
@@ -1084,11 +1081,62 @@ mod tests {
         let request = crate::PreviewRequest::new("fig1", PreviewSpace::concise(2, 6).unwrap());
         service.submit_wait(request).unwrap();
         recorder.disable();
-        let dumps = recorder.dumps();
-        assert_eq!(dumps.len(), 1);
-        assert_eq!(dumps[0].reason, "slow");
-        assert!(dumps[0].detail.contains("graph=fig1"));
+        let trees = recorder.traces().trees();
+        assert_eq!(trees.len(), 1);
+        assert_eq!(trees[0].reasons, vec![preview_obs::RetainReason::Slow]);
+        assert!(trees[0].detail.contains("graph=fig1"));
+        let stages: Vec<Stage> = trees[0].ring.iter().map(|e| e.stage).collect();
+        assert!(stages.contains(&Stage::Discovery), "{stages:?}");
+        assert_eq!(stages.last(), Some(&Stage::Request));
         assert_eq!(recorder.counter(Counter::SlowDumps), 1);
+    }
+
+    /// A disabled recorder records no spans, but a panicking request still
+    /// leaves one span-less retained tree and bumps the panic counter.
+    #[test]
+    fn disabled_recorder_still_retains_a_panicking_request() {
+        let service = fig1_service(ServiceConfig::with_workers(1));
+        let recorder = Arc::clone(service.recorder());
+        service.inject_panic_next();
+        let request = crate::PreviewRequest::new("fig1", PreviewSpace::concise(2, 6).unwrap());
+        assert!(service.submit_wait(request.clone()).is_err());
+        // A healthy request afterwards is not retained.
+        service.submit_wait(request).unwrap();
+        let trees = recorder.traces().trees();
+        assert_eq!(trees.len(), 1);
+        assert_eq!(trees[0].reasons, vec![preview_obs::RetainReason::Panic]);
+        assert!(trees[0].spans.is_empty());
+        assert!(trees[0].detail.contains("panic=injected test panic"));
+        assert_eq!(recorder.counter(Counter::PanicDumps), 1);
+        assert_eq!(recorder.counter(Counter::SlowDumps), 0);
+    }
+
+    /// A disabled recorder still retains a request over the slow threshold,
+    /// span-less, and bumps the slow counter.
+    #[test]
+    fn disabled_recorder_still_retains_a_slow_request() {
+        let registry = Arc::new(GraphRegistry::new());
+        registry.register("fig1", fixtures::figure1_graph());
+        let recorder = Arc::new(Recorder::new(
+            preview_obs::ObsConfig::default().with_slow_threshold(5_000),
+        ));
+        let service = PreviewService::start_with_recorder(
+            ServiceConfig::with_workers(1),
+            registry,
+            Arc::clone(&recorder),
+        );
+        service.inject_delay_next(20_000);
+        let request = crate::PreviewRequest::new("fig1", PreviewSpace::concise(2, 6).unwrap());
+        let response = service.submit_wait(request).unwrap();
+        let trees = recorder.traces().trees();
+        assert_eq!(trees.len(), 1);
+        assert_eq!(trees[0].reasons, vec![preview_obs::RetainReason::Slow]);
+        assert_eq!(Some(trees[0].trace), response.trace);
+        assert!(trees[0].spans.is_empty());
+        assert!(trees[0].detail.contains("graph=fig1 latency_us="));
+        assert_eq!(recorder.counter(Counter::SlowDumps), 1);
+        assert_eq!(recorder.counter(Counter::PanicDumps), 0);
+        assert_eq!(recorder.events_recorded(), 0);
     }
 
     /// Tentpole invariant: instrumentation is output-neutral. The same
@@ -1116,12 +1164,7 @@ mod tests {
 
         assert_eq!(observed.preview, expected.preview);
         assert_eq!(observed.score.to_bits(), expected.score.to_bits());
-        for stage in [
-            Stage::Request,
-            Stage::QueueWait,
-            Stage::Discovery,
-            Stage::Algorithm,
-        ] {
+        for stage in [Stage::QueueWait, Stage::Discovery, Stage::Algorithm] {
             assert_eq!(
                 recorder.stage_histogram(stage).count(),
                 1,
@@ -1129,6 +1172,9 @@ mod tests {
                 stage.name()
             );
         }
+        // Request latency is fed to one histogram, the service's own.
+        assert_eq!(recorder.stage_histogram(Stage::Request).count(), 0);
+        assert_eq!(traced.snapshot().service_latency.unwrap().count(), 1);
         assert!(recorder.events_recorded() >= 4);
     }
 
@@ -1257,9 +1303,8 @@ mod tests {
             .bucket_exemplars()
             .iter()
             .any(|&t| t == trees[0].trace.as_u64()));
-        let dumps = recorder.dumps();
-        assert_eq!(dumps.len(), 1);
-        assert_eq!(dumps[0].reason, "slow");
+        assert!(!trees[0].ring.is_empty());
+        assert_eq!(recorder.counter(Counter::SlowDumps), 1);
     }
 
     #[test]

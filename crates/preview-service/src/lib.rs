@@ -24,7 +24,8 @@
 //! * [`PreviewService::snapshot`] — a unified observability export built on
 //!   `preview-obs`: per-stage span histograms, the exact service latency
 //!   histogram, splice-vs-reshard publish counters, per-shard memory, and
-//!   flight-recorder dumps captured on worker panics and slow requests.
+//!   retained trace trees, with the flight ring attached to worker panics
+//!   and slow requests.
 //!
 //! # Quick start: register a graph, spawn the pool, submit, read stats
 //!

@@ -47,6 +47,10 @@ struct ScoredEntry {
 pub struct RegisteredGraph {
     name: String,
     version: u32,
+    /// The name's route slot: assigned when the name is first registered
+    /// and shared by all its versions, it indexes the service's lock-free
+    /// per-route request counts.
+    route_slot: usize,
     graph: Arc<EntityGraph>,
     /// Sharded storage for this version, when registered through
     /// [`GraphRegistry::register_sharded`]. The inner `Arc<EntityGraph>` is
@@ -60,12 +64,14 @@ impl RegisteredGraph {
     fn new(
         name: String,
         version: u32,
+        route_slot: usize,
         graph: Arc<EntityGraph>,
         sharded: Option<Arc<ShardedGraph>>,
     ) -> Self {
         Self {
             name,
             version,
+            route_slot,
             graph,
             sharded,
             scored: Mutex::new(HashMap::new()),
@@ -80,6 +86,11 @@ impl RegisteredGraph {
     /// The version number (starts at 1, increments per registration).
     pub fn version(&self) -> u32 {
         self.version
+    }
+
+    /// The route slot shared by every version of this name.
+    pub(crate) fn route_slot(&self) -> usize {
+        self.route_slot
     }
 
     /// The underlying entity graph.
@@ -275,9 +286,16 @@ impl GraphRegistry {
     ) -> Arc<RegisteredGraph> {
         graph.schema_graph();
         let mut graphs = write_unpoisoned(&self.graphs);
+        // Names are never removed, so a new name's slot is the count of
+        // names registered before it: dense and stable.
+        let new_slot = graphs.len();
         let versions = graphs.entry(name.clone()).or_default();
-        let version = versions.last().map_or(1, |g| g.version + 1);
-        let registered = Arc::new(RegisteredGraph::new(name, version, graph, sharded));
+        let (version, route_slot) = versions
+            .last()
+            .map_or((1, new_slot), |g| (g.version + 1, g.route_slot));
+        let registered = Arc::new(RegisteredGraph::new(
+            name, version, route_slot, graph, sharded,
+        ));
         versions.push(Arc::clone(&registered));
         registered
     }
@@ -400,6 +418,7 @@ impl GraphRegistry {
                     let registered = Arc::new(RegisteredGraph::new(
                         name.to_string(),
                         version,
+                        current.route_slot,
                         new_graph,
                         new_sharded,
                     ));
@@ -475,6 +494,18 @@ impl GraphRegistry {
             .unwrap_or_default()
     }
 
+    /// Every registered name, indexed by its route slot.
+    pub(crate) fn route_names(&self) -> Vec<String> {
+        let graphs = read_unpoisoned(&self.graphs);
+        let mut names = vec![String::new(); graphs.len()];
+        for (name, versions) in graphs.iter() {
+            if let Some(slot) = versions.last().and_then(|g| names.get_mut(g.route_slot)) {
+                slot.clone_from(name);
+            }
+        }
+        names
+    }
+
     /// All registered names, sorted.
     pub fn names(&self) -> Vec<String> {
         let mut names: Vec<String> = read_unpoisoned(&self.graphs).keys().cloned().collect();
@@ -513,6 +544,23 @@ mod tests {
         assert_eq!(registry.len(), 2);
         assert_eq!(registry.names(), vec!["fig1".to_string()]);
         assert_eq!(registry.versions("fig1"), vec![1, 2]);
+    }
+
+    #[test]
+    fn route_slots_are_per_name_and_shared_across_versions() {
+        let registry = GraphRegistry::new();
+        let a1 = registry.register("a", fixtures::figure1_graph());
+        let b1 = registry.register("b", fixtures::figure1_graph());
+        let a2 = registry.register("a", fixtures::figure1_graph());
+        let mut delta = entity_graph::GraphDelta::new();
+        delta.add_entity("Extra", &["FILM"]);
+        let b2 = registry.publish_delta("b", &delta).unwrap().registered;
+        assert_eq!((a1.route_slot(), a2.route_slot()), (0, 0));
+        assert_eq!((b1.route_slot(), b2.route_slot()), (1, 1));
+        assert_eq!(
+            registry.route_names(),
+            vec!["a".to_string(), "b".to_string()]
+        );
     }
 
     #[test]

@@ -103,6 +103,14 @@ pub enum ResolvedAlgorithm {
 }
 
 impl ResolvedAlgorithm {
+    /// Every algorithm, in discriminant order.
+    pub(crate) const ALL: [ResolvedAlgorithm; 4] = [
+        ResolvedAlgorithm::BruteForce,
+        ResolvedAlgorithm::DynamicProgramming,
+        ResolvedAlgorithm::Apriori,
+        ResolvedAlgorithm::BestFirst,
+    ];
+
     /// Instantiates the discovery implementation.
     pub fn discovery(self) -> Box<dyn PreviewDiscovery> {
         match self {

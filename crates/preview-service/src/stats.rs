@@ -1,130 +1,28 @@
 //! Service-level statistics: request counters, latency percentiles and
 //! throughput, combined with the cache counters into one snapshot.
 //!
-//! Latency quantiles come from an exact [`preview_obs::Histogram`] — every
-//! completed request lands in a bucket, so p50/p99 resolve the tail at any
-//! request count (relative error ≤ 1/32 from bucket granularity, nothing
-//! from sampling). The Algorithm-R reservoir is kept solely for what the
-//! histogram quantizes: the exact mean and maximum.
+//! Request latency has one home: an exact [`preview_obs::Histogram`] fed
+//! once per completed request. Every completion lands in a bucket, so
+//! p50/p99 resolve the tail at any request count (relative error ≤ 1/32
+//! from bucket granularity, nothing from sampling), and the histogram's
+//! sum and max atomics give the exact mean and maximum.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use preview_obs::{Histogram, HistogramSnapshot, RouteCount, TraceId};
 
 use crate::cache::CacheStats;
-use crate::sync::lock_unpoisoned;
+use crate::request::ResolvedAlgorithm;
 
-/// Upper bound on distinct (graph, algorithm) routes tracked for the
-/// Prometheus `preview_requests_total` family. Label cardinality must stay
-/// bounded no matter how many graphs a long-running service registers;
-/// routes beyond the cap are folded into a single overflow bucket.
+/// Upper bound on distinct graph route slots tracked for the Prometheus
+/// `preview_requests_total` family. Label cardinality must stay bounded no
+/// matter how many graphs a long-running service registers; graphs whose
+/// slot falls past the cap are folded into a single overflow row.
 const ROUTE_CAP: usize = 64;
 
 /// Label pair used for requests whose route fell past [`ROUTE_CAP`].
 const ROUTE_OVERFLOW: &str = "_overflow";
-
-/// Upper bound on retained latency samples. Percentiles beyond this many
-/// completions come from a uniform reservoir (Vitter's Algorithm R), so a
-/// long-running service holds a fixed ~512 KiB of latency state instead of
-/// growing without bound.
-const LATENCY_SAMPLE_CAP: usize = 65_536;
-
-/// A bounded uniform sample of request latencies plus exact extremes/sums.
-#[derive(Debug)]
-struct LatencyReservoir {
-    samples: Vec<u64>,
-    /// Reservoir size (`LATENCY_SAMPLE_CAP` in production; tests shrink it).
-    capacity: usize,
-    /// Total latencies ever offered (> `samples.len()` once the cap is hit).
-    seen: u64,
-    /// Exact running sum for the mean (not subject to sampling).
-    total_us: u128,
-    /// Exact maximum (not subject to sampling).
-    max_us: u64,
-    /// xorshift64 state for replacement choices; deterministic seed, the
-    /// sampled latencies themselves provide the variability.
-    rng_state: u64,
-}
-
-impl LatencyReservoir {
-    fn new() -> Self {
-        Self::with_capacity(LATENCY_SAMPLE_CAP)
-    }
-
-    fn with_capacity(capacity: usize) -> Self {
-        Self {
-            samples: Vec::new(),
-            capacity,
-            seen: 0,
-            total_us: 0,
-            max_us: 0,
-            rng_state: 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.rng_state ^= self.rng_state << 13;
-        self.rng_state ^= self.rng_state >> 7;
-        self.rng_state ^= self.rng_state << 17;
-        self.rng_state
-    }
-
-    /// A uniform draw in `[0, bound)` via Lemire's multiply-shift reduction
-    /// with rejection.
-    ///
-    /// The raw `x % bound` this replaces was doubly non-uniform: modulo over
-    /// a range that does not divide `2^64` over-weights small residues, and
-    /// a xorshift64 state is never zero, so the reduction inherited a dent
-    /// at the states that map to slot 0. Multiply-shift takes the *high*
-    /// bits of `x * bound` and rejects the few draws that land in the
-    /// truncated final interval, giving every slot an exactly equal share of
-    /// the accepted state space — the premise Algorithm R's inclusion
-    /// guarantee rests on.
-    fn uniform_below(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0);
-        loop {
-            let product = u128::from(self.next_u64()) * u128::from(bound);
-            let low = product as u64;
-            if low < bound {
-                // Only a draw in the truncated final interval can be biased;
-                // compute the rejection threshold lazily (it is rarely hit).
-                let threshold = bound.wrapping_neg() % bound;
-                if low < threshold {
-                    continue;
-                }
-            }
-            return (product >> 64) as u64;
-        }
-    }
-
-    fn record(&mut self, us: u64) {
-        self.seen += 1;
-        self.total_us += u128::from(us);
-        self.max_us = self.max_us.max(us);
-        if self.samples.len() < self.capacity {
-            self.samples.push(us);
-        } else {
-            // Vitter's Algorithm R: the i-th item replaces a uniformly
-            // chosen slot of 0..seen and is kept only if that slot lies in
-            // the reservoir, preserving P(kept) = capacity / seen for all.
-            let seen = self.seen;
-            let slot = self.uniform_below(seen);
-            if (slot as usize) < self.capacity {
-                self.samples[slot as usize] = us;
-            }
-        }
-    }
-
-    fn mean_us(&self) -> f64 {
-        if self.seen == 0 {
-            0.0
-        } else {
-            self.total_us as f64 / self.seen as f64
-        }
-    }
-}
 
 /// Shared mutable statistics the workers write into.
 #[derive(Debug)]
@@ -133,19 +31,19 @@ pub(crate) struct StatsRecorder {
     // lint: allow(wall-clock, uptime and throughput are reporting-only; no decision depends on it)
     started: Instant,
     submitted: AtomicU64,
-    completed: AtomicU64,
     failed: AtomicU64,
     publishes: AtomicU64,
     cache_carried_forward: AtomicU64,
     cache_invalidated: AtomicU64,
-    /// Total (queue wait + compute) latency of completed requests, µs.
-    /// Kept for the *exact* mean and max; quantiles come from the histogram.
-    latencies: Mutex<LatencyReservoir>,
-    /// Exact latency distribution: lock-free, every completion counted.
+    /// Total (queue wait + compute) latency of every completed request, µs:
+    /// the one request-latency histogram. Lock-free; its count is the
+    /// completed-request count.
     latency_hist: Histogram,
-    /// Per-(graph, algorithm) completion counts, capped at [`ROUTE_CAP`]
-    /// distinct routes so export label cardinality stays bounded.
-    routes: Mutex<Vec<RouteCount>>,
+    /// Completion counts indexed by graph route slot, then by
+    /// [`ResolvedAlgorithm`] discriminant.
+    routes: [[AtomicU64; ResolvedAlgorithm::ALL.len()]; ROUTE_CAP],
+    /// Completions whose route slot is at or past [`ROUTE_CAP`].
+    route_overflow: AtomicU64,
 }
 
 impl StatsRecorder {
@@ -154,14 +52,13 @@ impl StatsRecorder {
             // lint: allow(wall-clock, uptime anchor for reporting-only throughput)
             started: Instant::now(),
             submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             publishes: AtomicU64::new(0),
             cache_carried_forward: AtomicU64::new(0),
             cache_invalidated: AtomicU64::new(0),
-            latencies: Mutex::new(LatencyReservoir::new()),
             latency_hist: Histogram::new(),
-            routes: Mutex::new(Vec::new()),
+            routes: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
+            route_overflow: AtomicU64::new(0),
         }
     }
 
@@ -189,14 +86,11 @@ impl StatsRecorder {
     /// exemplar, so export consumers can jump from a histogram bucket to a
     /// concrete retained trace tree.
     pub(crate) fn record_completed(&self, latency: Duration, trace: Option<TraceId>) {
-        // lint: ordering-ok(independent monotonic counter; snapshot tolerates skew)
-        self.completed.fetch_add(1, Ordering::Relaxed);
         let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
         match trace {
             Some(trace) => self.latency_hist.record_with_exemplar(us, trace.as_u64()),
             None => self.latency_hist.record(us),
         }
-        lock_unpoisoned(&self.latencies).record(us);
     }
 
     /// The exact latency distribution (for the observability snapshot).
@@ -204,46 +98,47 @@ impl StatsRecorder {
         self.latency_hist.snapshot()
     }
 
-    /// Counts one completion against its `(graph, algorithm)` route. The
-    /// route table is capped at [`ROUTE_CAP`] entries; later routes fold
-    /// into a shared `_overflow` row so export label cardinality stays
-    /// bounded regardless of registry size.
-    pub(crate) fn record_route(&self, graph: &str, algorithm: &str) {
-        let mut routes = lock_unpoisoned(&self.routes);
-        if let Some(entry) = routes
-            .iter_mut()
-            .find(|r| r.graph == graph && r.algorithm == algorithm)
-        {
-            entry.requests += 1;
-            return;
+    /// Counts one completion against its `(graph, algorithm)` route: one
+    /// relaxed add on a fixed table indexed by the graph's route slot. Slots
+    /// at or past [`ROUTE_CAP`] fold into a shared `_overflow` row so export
+    /// label cardinality stays bounded regardless of registry size.
+    pub(crate) fn record_route(&self, slot: usize, algorithm: ResolvedAlgorithm) {
+        let counter = self
+            .routes
+            .get(slot)
+            .map_or(&self.route_overflow, |row| &row[algorithm as usize]);
+        // lint: ordering-ok(independent monotonic counter; snapshot tolerates skew)
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The non-zero per-route completion counts (for the observability
+    /// snapshot), in slot then algorithm order; `names[slot]` is the graph
+    /// name behind each route slot.
+    pub(crate) fn routes(&self, names: &[String]) -> Vec<RouteCount> {
+        let mut routes = Vec::new();
+        for (row, graph) in self.routes.iter().zip(names) {
+            for (counter, algorithm) in row.iter().zip(ResolvedAlgorithm::ALL) {
+                // lint: ordering-ok(statistical snapshot; counters may be mutually skewed)
+                let requests = counter.load(Ordering::Relaxed);
+                if requests > 0 {
+                    routes.push(RouteCount {
+                        graph: graph.clone(),
+                        algorithm: algorithm.name().to_string(),
+                        requests,
+                    });
+                }
+            }
         }
-        if routes.len() < ROUTE_CAP {
-            routes.push(RouteCount {
-                graph: graph.to_string(),
-                algorithm: algorithm.to_string(),
-                requests: 1,
-            });
-            return;
-        }
-        if let Some(entry) = routes
-            .iter_mut()
-            .find(|r| r.graph == ROUTE_OVERFLOW && r.algorithm == ROUTE_OVERFLOW)
-        {
-            entry.requests += 1;
-        } else {
-            // The cap already counts the overflow row we are about to add;
-            // replace the last in-cap row's slot by growing once past it.
+        // lint: ordering-ok(statistical snapshot; counters may be mutually skewed)
+        let overflow = self.route_overflow.load(Ordering::Relaxed);
+        if overflow > 0 {
             routes.push(RouteCount {
                 graph: ROUTE_OVERFLOW.to_string(),
                 algorithm: ROUTE_OVERFLOW.to_string(),
-                requests: 1,
+                requests: overflow,
             });
         }
-    }
-
-    /// The per-route completion counts (for the observability snapshot).
-    pub(crate) fn routes(&self) -> Vec<RouteCount> {
-        lock_unpoisoned(&self.routes).clone()
+        routes
     }
 
     pub(crate) fn record_failed(&self) {
@@ -252,14 +147,9 @@ impl StatsRecorder {
     }
 
     pub(crate) fn snapshot(&self, cache: CacheStats, queue_depth: usize) -> ServiceStats {
-        let (mean_us, max_us) = {
-            let reservoir = lock_unpoisoned(&self.latencies);
-            (reservoir.mean_us(), reservoir.max_us)
-        };
         let hist = self.latency_hist.snapshot();
         let elapsed = self.started.elapsed();
-        // lint: ordering-ok(statistical snapshot; counters may be mutually skewed)
-        let completed = self.completed.load(Ordering::Relaxed);
+        let completed = hist.count();
         ServiceStats {
             elapsed,
             // lint: ordering-ok(statistical snapshot; counters may be mutually skewed)
@@ -273,10 +163,10 @@ impl StatsRecorder {
             } else {
                 0.0
             },
-            latency_mean_us: mean_us,
+            latency_mean_us: hist.mean(),
             latency_p50_us: hist.quantile(0.50),
             latency_p99_us: hist.quantile(0.99),
-            latency_max_us: max_us,
+            latency_max_us: hist.max(),
             // lint: ordering-ok(statistical snapshot; counters may be mutually skewed)
             publishes: self.publishes.load(Ordering::Relaxed),
             // lint: ordering-ok(statistical snapshot; counters may be mutually skewed)
@@ -352,69 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn reservoir_stays_bounded_and_keeps_exact_mean_and_max() {
-        let mut reservoir = LatencyReservoir::new();
-        let n = (LATENCY_SAMPLE_CAP as u64) * 3;
-        for i in 1..=n {
-            reservoir.record(i);
-        }
-        assert_eq!(reservoir.samples.len(), LATENCY_SAMPLE_CAP);
-        assert_eq!(reservoir.seen, n);
-        assert_eq!(reservoir.max_us, n);
-        // Exact mean of 1..=n regardless of which samples were kept.
-        assert!((reservoir.mean_us() - (n + 1) as f64 / 2.0).abs() < 1e-9);
-        // The sampled median of a uniform ramp stays near the true median.
-        let mut sample = reservoir.samples.clone();
-        sample.sort_unstable();
-        let p50 = percentile(&sample, 50.0) as f64;
-        assert!(
-            (p50 - n as f64 / 2.0).abs() < n as f64 * 0.05,
-            "p50 = {p50}"
-        );
-    }
-
-    #[test]
-    fn replacement_slots_come_from_the_lemire_reduction() {
-        // Deterministic pin of the fixed replacement draw (capacity 4, items
-        // 1..=20, the production seed). The pre-fix draw — raw
-        // `xorshift % seen`, modulo-biased and fed by a never-zero state —
-        // replaces different slots and leaves [14, 15, 3, 20] here.
-        let mut reservoir = LatencyReservoir::with_capacity(4);
-        for us in 1..=20 {
-            reservoir.record(us);
-        }
-        assert_eq!(reservoir.samples, vec![18, 9, 16, 7]);
-        assert_eq!(reservoir.seen, 20);
-        assert_eq!(reservoir.max_us, 20);
-    }
-
-    #[test]
-    fn uniform_below_is_unbiased_and_in_range() {
-        let mut reservoir = LatencyReservoir::with_capacity(1);
-        // Every draw lands in [0, bound), including slot 0 (unreachable for
-        // some bounds under the raw modulo of a never-zero xorshift state),
-        // and the frequencies are flat.
-        let bound = 7u64;
-        let draws = 70_000usize;
-        let mut histogram = vec![0u64; bound as usize];
-        for _ in 0..draws {
-            let slot = reservoir.uniform_below(bound);
-            assert!(slot < bound);
-            histogram[slot as usize] += 1;
-        }
-        let expected = draws as f64 / bound as f64;
-        for (slot, &count) in histogram.iter().enumerate() {
-            let deviation = (count as f64 - expected).abs() / expected;
-            assert!(
-                deviation < 0.05,
-                "slot {slot}: {count} draws vs expected {expected:.0}"
-            );
-        }
-        // Degenerate bound: the only draw is 0.
-        assert_eq!(reservoir.uniform_below(1), 0);
-    }
-
-    #[test]
     fn snapshot_aggregates_counters() {
         let recorder = StatsRecorder::new();
         recorder.record_submitted();
@@ -431,7 +258,7 @@ mod tests {
         // exact bucket boundary; 300 µs lands in the [296, 304) bucket.
         assert_eq!(stats.latency_p50_us, 100);
         assert_eq!(stats.latency_p99_us, 296);
-        // Max and mean stay exact (reservoir-tracked, not bucketed).
+        // Max and mean stay exact (the histogram's own atomics, not buckets).
         assert_eq!(stats.latency_max_us, 300);
         assert!((stats.latency_mean_us - 200.0).abs() < 1e-9);
         assert!(stats.throughput_rps > 0.0);
@@ -440,11 +267,12 @@ mod tests {
     #[test]
     fn routes_fold_into_overflow_past_the_cap_and_exemplars_stick() {
         let recorder = StatsRecorder::new();
-        for index in 0..ROUTE_CAP + 10 {
-            recorder.record_route(&format!("graph-{index}"), "vanilla");
+        for slot in 0..ROUTE_CAP + 10 {
+            recorder.record_route(slot, ResolvedAlgorithm::BestFirst);
         }
-        recorder.record_route("graph-0", "vanilla");
-        let routes = recorder.routes();
+        recorder.record_route(0, ResolvedAlgorithm::BestFirst);
+        let names: Vec<String> = (0..ROUTE_CAP + 10).map(|i| format!("graph-{i}")).collect();
+        let routes = recorder.routes(&names);
         assert_eq!(routes.len(), ROUTE_CAP + 1);
         let overflow = routes
             .iter()

@@ -2,15 +2,15 @@
 //!
 //! A worker panic poisons every `Mutex`/`RwLock` it held or later
 //! touches via `PoisonError`. The serving path must keep degrading
-//! gracefully after such a panic — the engine already captures a flight
-//! dump and fails the in-flight request — so these helpers recover the
+//! gracefully after such a panic — the engine already retains the
+//! request's trace tree and fails the in-flight request — so these helpers recover the
 //! guard instead of unwrapping, which would cascade the panic into every
 //! other worker that touches the same lock (and abort the process when
 //! it happens inside a panic hook).
 //!
 //! Recovery is sound here because every critical section in this crate
 //! is small and allocation-level: insert/remove on a map, rotate a
-//! deque, record into a reservoir. A panic cannot leave those structures
+//! deque. A panic cannot leave those structures
 //! half-updated in a way that violates their own invariants (the data
 //! structure methods don't panic mid-rebalance); at worst one logical
 //! entry (the panicking request's own) is missing, which the engine
